@@ -25,10 +25,10 @@ attached or set to ``None``.  The summary lives in the manifest's
 run) and is rendered by ``repro hotspots`` / ``repro report``.
 
 Attribution is parent-process only: pair timings observed inside
-forked scoring/iterate children die with the child.  That is
-acceptable for a workload profile (the parent still times every
-supervised chunk and every serial recompute) and keeps the sketch free
-of cross-process plumbing.
+scoring workers die with the worker.  That is acceptable for a
+workload profile (the parent still times every supervised chunk and
+every serial recompute) and keeps the sketch free of cross-process
+plumbing.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ from .schemas import trace_process_names
 
 __all__ = ["render_report", "write_report"]
 
-#: most lanes drawn in the utilization strip; iterate-heavy runs fork
-#: a child per chunk and hundreds of two-span rows help nobody.
+#: most lanes drawn in the utilization strip; a pool rebuilt many
+#: times leaves many pids and hundreds of two-span rows help nobody.
 _MAX_LANES = 16
 
 #: validated categorical palette (slots 1-3 pass all-pairs in both

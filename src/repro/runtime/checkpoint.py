@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from ..core.engine import EngineStats, Reconciler
@@ -120,7 +120,12 @@ def restore_engine(engine: Reconciler, state: dict) -> None:
     engine.uf = UnionFind.from_state_dict(state["uf"])
     engine.queue = ActiveQueue.from_snapshot(state["queue"])
     engine.graph = DependencyGraph.from_snapshot(state["graph"])
-    stats_data = dict(state["stats"])
+    # Checkpoints written before the parallel iterate executor was
+    # removed carry its five counters; EngineStats no longer has them.
+    known = {f.name for f in fields(EngineStats)}
+    stats_data = {
+        name: value for name, value in state["stats"].items() if name in known
+    }
     stats_data["degradations"] = [
         DegradationEvent(**event) for event in stats_data.get("degradations", [])
     ]

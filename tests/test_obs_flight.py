@@ -349,10 +349,10 @@ def test_recorder_identity_serial(name):
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "cora"])
 def test_recorder_identity_parallel(name):
-    """Same contract under workers=2 + iterate_workers=2: the recorder
-    observes supervised chunks and lane rings without perturbing them."""
+    """Same contract under workers=2: the recorder observes supervised
+    chunks and lane rings without perturbing them."""
     dataset, domain_factory = _dataset(name)
-    config = EngineConfig(workers=2, iterate_workers=2, iterate_batch=16)
+    config = EngineConfig(workers=2)
     on = _observed_run(dataset, domain_factory, config, detach=False)
     off = _observed_run(dataset, domain_factory, config, detach=True)
     assert on[0].partitions == off[0].partitions

@@ -226,6 +226,39 @@ class TestCheckpoint:
         assert resumed.stats.merges == uninterrupted.stats.merges
         assert resumed.stats.recomputations == uninterrupted.stats.recomputations
 
+    def test_checkpoint_with_retired_stats_fields_resumes(self, tmp_path, monkeypatch):
+        # Checkpoints written while the parallel iterate executor existed
+        # carry its five stats counters; resuming one must still work.
+        from repro.runtime import checkpoint
+
+        retired = {
+            "iterate_workers": 1,
+            "speculated_nodes": 0,
+            "speculation_hits": 0,
+            "speculation_invalidated": 0,
+            "speculation_dropped": 0,
+        }
+        current_state = checkpoint.engine_state
+
+        def legacy_state(engine):
+            state = current_state(engine)
+            state["stats"].update(retired)
+            return state
+
+        domain = PimDomainModel()
+        expected = _engine().run()
+        engine = _engine()
+        checkpointer = Checkpointer(tmp_path, every=1)
+        monkeypatch.setattr(checkpoint, "engine_state", legacy_state)
+        with pytest.raises(InjectedFault):
+            engine.run(checkpointer=checkpointer, step_hook=CrashAtStep(5))
+        monkeypatch.undo()
+        assert retired.items() <= load_checkpoint(checkpointer.path)["stats"].items()
+        store = ReferenceStore(domain.schema, example1_references())
+        resumed = Reconciler.resume(checkpointer.path, store=store, domain=domain)
+        assert resumed.stats.recomputations > 0
+        assert resumed.run().partitions == expected.partitions
+
     def test_crash_before_first_step_still_resumable(self, tmp_path):
         domain = PimDomainModel()
         expected = _engine().run()
