@@ -23,7 +23,7 @@ config changes, not separate code paths.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from ..runtime.errors import BudgetExceeded, DeadlineExceeded, GuardTripped, Que
 from ..runtime.guards import DegradationEvent
 from .blocking import BlockingIndex
 from .graph import DependencyGraph
-from .model import DomainModel, EngineConfig
+from .model import DomainModel, EngineConfig, WeakDependency
 from .nodes import EdgeType, NodeStatus, PairNode, pair_key
 from .partition import ConstraintViolation, UnionFind
 from .queue import ActiveQueue
@@ -140,6 +140,10 @@ class Reconciler:
         self._weak_attrs: dict[str, tuple[str, ...]] = {
             dep.class_name: dep.attrs for dep in domain.weak_dependencies()
         }
+        # Weak dependency -> contact ref id -> ids of the references that
+        # list it. Keyed by raw ids, so merges never invalidate it; built
+        # from the store on first use (see _weak_owner_index).
+        self._weak_owners: dict[WeakDependency, dict[str, list[str]]] | None = None
         # Blocking indexes are retained per class so new references can
         # be folded in later (incremental reconciliation).
         self._block_indexes: dict[str, BlockingIndex] = {}
@@ -256,13 +260,14 @@ class Reconciler:
             return self.uf.find(ref_id)
         return ref_id
 
-    def _element_refs(self, element: str) -> list[Reference]:
+    def _member_ids(self, element: str) -> list[str]:
+        """Ids of the references the element stands for."""
         if self.config.enrich:
-            members = self._members.get(element)
-            if members is None:
-                members = [element]
-            return [self.store.get(ref_id) for ref_id in members]
-        return [self.store.get(element)]
+            return self._members.get(element) or [element]
+        return [element]
+
+    def _element_refs(self, element: str) -> list[Reference]:
+        return [self.store.get(ref_id) for ref_id in self._member_ids(element)]
 
     def _element_values(self, element: str) -> Mapping[str, tuple[str, ...]]:
         """Pooled attribute values of the element's cluster (enrichment)
@@ -392,16 +397,7 @@ class Reconciler:
         }
         self.stats.build_seconds = time.perf_counter() - started
         self._sync_feature_cache_stats()
-        if self.stats.skipped_weak_fanout:
-            self._degrade(
-                DegradationEvent(
-                    kind="weak_fanout",
-                    detail=(
-                        f"skipped {self.stats.skipped_weak_fanout} weak-edge "
-                        f"bundles over the {_MAX_WEAK_FANOUT} fan-out ceiling"
-                    ),
-                )
-            )
+        self._note_weak_fanout(self.stats.skipped_weak_fanout)
         tel.emit(
             "info",
             "build_end",
@@ -419,6 +415,19 @@ class Reconciler:
                 queued=len(self.queue),
             )
         self._built = True
+
+    def _note_weak_fanout(self, skipped: int) -> None:
+        """Record *skipped* weak-edge bundles as a degradation, if any."""
+        if skipped:
+            self._degrade(
+                DegradationEvent(
+                    kind="weak_fanout",
+                    detail=(
+                        f"skipped {skipped} weak-edge "
+                        f"bundles over the {_MAX_WEAK_FANOUT} fan-out ceiling"
+                    ),
+                )
+            )
 
     def _degrade(self, event: DegradationEvent) -> None:
         """Record a degradation in the stats *and* the event stream."""
@@ -717,20 +726,31 @@ class Reconciler:
 
     def _wire_weak_edges(self, per_class_nodes) -> None:
         """Bidirectional weak-boolean edges between contact pairs and
-        the pairs of references that list them (Figure 2(b))."""
+        the pairs of references that list them (Figure 2(b)).
+
+        Only the nodes in *per_class_nodes* are wired, as contact pairs,
+        so the cost follows those nodes, not the store."""
+        index = self._weak_owner_index()
         for dependency in self.domain.weak_dependencies():
             if not self.config.weak_enabled(dependency.class_name):
                 continue
             nodes = per_class_nodes.get(dependency.class_name, [])
-            inverse: dict[str, set[str]] = {}
-            for reference in self.store.of_class(dependency.class_name):
-                owner = self._elem(reference.ref_id)
-                for attribute in dependency.attrs:
-                    for contact_id in reference.get(attribute):
-                        inverse.setdefault(self._elem(contact_id), set()).add(owner)
+            owners_by_contact = index[dependency]
+            owners_of: dict[str, set[str]] = {}
+
+            def owners(element: str) -> set[str]:
+                found = owners_of.get(element)
+                if found is None:
+                    found = owners_of[element] = {
+                        self._elem(owner_id)
+                        for member_id in self._member_ids(element)
+                        for owner_id in owners_by_contact.get(member_id, ())
+                    }
+                return found
+
             for node in nodes:
-                owners_left = inverse.get(node.left, ())
-                owners_right = inverse.get(node.right, ())
+                owners_left = owners(node.left)
+                owners_right = owners(node.right)
                 if not owners_left or not owners_right:
                     continue
                 if len(owners_left) * len(owners_right) > _MAX_WEAK_FANOUT:
@@ -745,6 +765,26 @@ class Reconciler:
                             continue
                         self.graph.add_edge(node, owner_node, EdgeType.WEAK)
                         self.graph.add_edge(owner_node, node, EdgeType.WEAK)
+
+    def _weak_owner_index(self) -> dict[WeakDependency, dict[str, list[str]]]:
+        if self._weak_owners is None:
+            self._weak_owners = {
+                dependency: {} for dependency in self.domain.weak_dependencies()
+            }
+            self._index_weak_owners(self.store)
+        return self._weak_owners
+
+    def _index_weak_owners(self, references: Iterable[Reference]) -> None:
+        """Extend the built weak-owner index with *references*."""
+        for reference in references:
+            for dependency, owners_by_contact in self._weak_owners.items():
+                if reference.class_name != dependency.class_name:
+                    continue
+                for attribute in dependency.attrs:
+                    for contact_id in reference.get(attribute):
+                        owners_by_contact.setdefault(contact_id, []).append(
+                            reference.ref_id
+                        )
 
     def _install_distinct_pairs(self) -> None:
         """§3.4 modification 1: non-merge nodes and enemy constraints

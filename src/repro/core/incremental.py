@@ -24,7 +24,7 @@ from collections.abc import Iterable, Sequence
 
 from .engine import Reconciler
 from .model import DomainModel, EngineConfig
-from .nodes import EdgeType, NodeStatus, PairNode, pair_key
+from .nodes import NodeStatus, PairNode, pair_key
 from .references import Reference, ReferenceStore
 from .result import ReconciliationResult
 
@@ -61,18 +61,24 @@ class IncrementalReconciler:
     def add(self, new_references: Sequence[Reference]) -> ReconciliationResult:
         """Fold *new_references* into the reconciled dataset.
 
-        Returns the updated full partition. The amount of recomputation
-        is proportional to the graph region the new references touch,
-        not to the dataset size.
+        Returns the updated full partition. A batch that fails the
+        store's checks (see :meth:`ReferenceStore.extend`) raises and
+        leaves the reconciler as it was, so later batches still fold in.
+
+        Cost per batch: checking, blocking, scoring and wiring the batch
+        are proportional to the batch and its bucket-mates; iterate
+        touches only the graph region the new nodes reach. Assembling
+        the returned partition is O(store) on top.
         """
         if not self._initialized:
             raise RuntimeError("call initial() before add()")
         engine = self._reconciler
+        engine.store.extend(new_references)
         for reference in new_references:
-            engine.store.add(reference)
             engine.uf.find(reference.ref_id)
             engine._members.setdefault(reference.ref_id, [reference.ref_id])
-        engine.store.validate()
+        if engine._weak_owners is not None:
+            engine._index_weak_owners(new_references)
 
         new_nodes_by_class: dict[str, list[PairNode]] = {}
         for class_name in engine.domain.class_order():
@@ -85,7 +91,10 @@ class IncrementalReconciler:
                 new_nodes_by_class[class_name] = self._build_new_nodes(
                     class_name, incoming
                 )
-        self._wire_new_nodes(new_nodes_by_class)
+        skipped = engine.stats.skipped_weak_fanout
+        engine._wire_association_edges(new_nodes_by_class)
+        engine._wire_weak_edges(new_nodes_by_class)
+        engine._note_weak_fanout(engine.stats.skipped_weak_fanout - skipped)
         if engine.config.constraints:
             self._install_new_constraints(new_references)
         for class_name in engine.domain.class_order():
@@ -132,60 +141,6 @@ class IncrementalReconciler:
                 if node is not None:
                     nodes.append(node)
         return nodes
-
-    def _wire_new_nodes(
-        self, new_nodes_by_class: dict[str, list[PairNode]]
-    ) -> None:
-        engine = self._reconciler
-        strong_templates: dict[str, list] = {}
-        for dependency in engine.domain.strong_dependencies():
-            if engine.config.strong_enabled(
-                dependency.source_class, dependency.target_class
-            ):
-                strong_templates.setdefault(dependency.source_class, []).append(
-                    dependency
-                )
-        for class_name, nodes in new_nodes_by_class.items():
-            assoc_channels = [
-                channel
-                for channel in engine.domain.association_channels(class_name)
-                if engine.config.channel_enabled(channel.name)
-            ]
-            for node in nodes:
-                for channel in assoc_channels:
-                    engine._wire_assoc_channel(node, channel.attr)
-                for dependency in strong_templates.get(class_name, ()):
-                    engine._wire_strong(node, dependency)
-        self._wire_new_weak_edges(new_nodes_by_class)
-
-    def _wire_new_weak_edges(
-        self, new_nodes_by_class: dict[str, list[PairNode]]
-    ) -> None:
-        engine = self._reconciler
-        for dependency in engine.domain.weak_dependencies():
-            if not engine.config.weak_enabled(dependency.class_name):
-                continue
-            nodes = new_nodes_by_class.get(dependency.class_name)
-            if not nodes:
-                continue
-            inverse: dict[str, set[str]] = {}
-            for reference in engine.store.of_class(dependency.class_name):
-                owner = engine._elem(reference.ref_id)
-                for attribute in dependency.attrs:
-                    for contact_id in reference.get(attribute):
-                        inverse.setdefault(engine._elem(contact_id), set()).add(owner)
-            for node in nodes:
-                owners_left = inverse.get(node.left, ())
-                owners_right = inverse.get(node.right, ())
-                for owner_l in owners_left:
-                    for owner_r in owners_right:
-                        if owner_l == owner_r:
-                            continue
-                        owner_node = engine.graph.get(owner_l, owner_r)
-                        if owner_node is None or owner_node is node:
-                            continue
-                        engine.graph.add_edge(node, owner_node, EdgeType.WEAK)
-                        engine.graph.add_edge(owner_node, node, EdgeType.WEAK)
 
     def _install_new_constraints(self, new_references: Iterable[Reference]) -> None:
         engine = self._reconciler

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .schema import AttributeKind, Schema, SchemaError
 
 __all__ = ["Reference", "ReferenceStore"]
+
+_NO_BATCH: Mapping[str, "Reference"] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,9 @@ class ReferenceStore:
         self._by_class: dict[str, list[Reference]] = {
             name: [] for name in schema.class_names
         }
+        # Ids added or replaced since the last successful validate(), in
+        # arrival order (a dict used as an ordered set).
+        self._unvalidated: dict[str, None] = {}
         for reference in references:
             self.add(reference)
 
@@ -82,12 +88,36 @@ class ReferenceStore:
         return iter(self._by_id.values())
 
     def add(self, reference: Reference) -> None:
+        self._check_addable(reference)
+        self._insert(reference)
+        self._unvalidated[reference.ref_id] = None
+
+    def extend(self, references: Iterable[Reference]) -> None:
+        """Add a batch all or nothing.
+
+        Every reference is checked as :meth:`add` and :meth:`validate`
+        would check it, with links resolved against the store plus the
+        batch, before the first one is stored; on any error the store is
+        unchanged. The batch leaves nothing for :meth:`validate` to do.
+        """
+        batch: dict[str, Reference] = {}
+        for reference in references:
+            self._check_addable(reference, batch)
+            batch[reference.ref_id] = reference
+        for reference in batch.values():
+            self._check_links(reference, batch)
+        for reference in batch.values():
+            self._insert(reference)
+
+    def _check_addable(
+        self, reference: Reference, batch: Mapping[str, Reference] = _NO_BATCH
+    ) -> None:
         if reference.class_name not in self.schema:
             raise SchemaError(
                 f"reference {reference.ref_id!r} has unknown class "
                 f"{reference.class_name!r}"
             )
-        if reference.ref_id in self._by_id:
+        if reference.ref_id in self._by_id or reference.ref_id in batch:
             raise ValueError(f"duplicate reference id {reference.ref_id!r}")
         schema_class = self.schema.cls(reference.class_name)
         for attribute_name in reference.values:
@@ -96,6 +126,8 @@ class ReferenceStore:
                     f"reference {reference.ref_id!r}: class "
                     f"{reference.class_name!r} has no attribute {attribute_name!r}"
                 )
+
+    def _insert(self, reference: Reference) -> None:
         self._by_id[reference.ref_id] = reference
         self._by_class[reference.class_name].append(reference)
 
@@ -116,6 +148,7 @@ class ReferenceStore:
         self._by_id[reference.ref_id] = reference
         bucket = self._by_class[reference.class_name]
         bucket[bucket.index(existing)] = reference
+        self._unvalidated[reference.ref_id] = None
 
     def get(self, ref_id: str) -> Reference:
         return self._by_id[ref_id]
@@ -128,23 +161,37 @@ class ReferenceStore:
 
     def validate(self) -> None:
         """Check that every association value points at a stored reference
-        of the right class; raises :class:`SchemaError` otherwise."""
-        for reference in self._by_id.values():
-            schema_class = self.schema.cls(reference.class_name)
-            for attribute in schema_class.association_attributes:
-                for target_id in reference.get(attribute.name):
-                    target = self._by_id.get(target_id)
-                    if target is None:
-                        raise SchemaError(
-                            f"{reference.ref_id}.{attribute.name} points at "
-                            f"missing reference {target_id!r}"
-                        )
-                    if target.class_name != attribute.target:
-                        raise SchemaError(
-                            f"{reference.ref_id}.{attribute.name} points at "
-                            f"{target_id!r} of class {target.class_name!r}, "
-                            f"expected {attribute.target!r}"
-                        )
+        of the right class; raises :class:`SchemaError` otherwise.
+
+        Only references added or replaced since the last successful call
+        are checked: the store only grows and :meth:`replace` keeps a
+        reference's class, so a reference that passed once stays valid.
+        """
+        for ref_id in self._unvalidated:
+            self._check_links(self._by_id[ref_id])
+        self._unvalidated.clear()
+
+    def _check_links(
+        self, reference: Reference, batch: Mapping[str, Reference] = _NO_BATCH
+    ) -> None:
+        """Raise unless each association value of *reference* names a
+        reference of the attribute's target class, looked up in the
+        store and then in *batch*."""
+        schema_class = self.schema.cls(reference.class_name)
+        for attribute in schema_class.association_attributes:
+            for target_id in reference.get(attribute.name):
+                target = self._by_id.get(target_id) or batch.get(target_id)
+                if target is None:
+                    raise SchemaError(
+                        f"{reference.ref_id}.{attribute.name} points at "
+                        f"missing reference {target_id!r}"
+                    )
+                if target.class_name != attribute.target:
+                    raise SchemaError(
+                        f"{reference.ref_id}.{attribute.name} points at "
+                        f"{target_id!r} of class {target.class_name!r}, "
+                        f"expected {attribute.target!r}"
+                    )
 
     def atomic_kind(self, class_name: str, attribute: str) -> bool:
         return (

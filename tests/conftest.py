@@ -73,6 +73,18 @@ def example1_references() -> list[Reference]:
     ]
 
 
+#: A reference that makes a batch ending in it unacceptable to Example
+#: 1's store, when it follows a valid new reference "x1".
+BAD_BATCH_TAILS = {
+    "dangling link": Reference("bad", "Person", {"coAuthor": ("ghost",)}),
+    "wrong-class link": Reference("bad", "Person", {"coAuthor": ("c1",)}),
+    "unknown attribute": Reference("bad", "Person", {"shoeSize": ("42",)}),
+    "unknown class": Reference("bad", "Robot", {}),
+    "duplicate of a stored id": Reference("p1", "Person", {"name": ("X",)}),
+    "duplicate within the batch": Reference("x1", "Person", {"name": ("X",)}),
+}
+
+
 @pytest.fixture
 def example1_store() -> ReferenceStore:
     return ReferenceStore(PimDomainModel().schema, example1_references())

@@ -8,10 +8,14 @@ from repro.core import (
     Reconciler,
     Reference,
     ReferenceStore,
+    SchemaError,
 )
+from repro.core import engine as engine_module
+from repro.core.nodes import EdgeType
+from repro.datasets import generate_pim_dataset
 from repro.domains import PimDomainModel
 
-from .conftest import example1_references
+from .conftest import BAD_BATCH_TAILS, example1_references
 
 
 def split_example1():
@@ -153,3 +157,159 @@ class TestIncremental:
         )
         full.run()
         assert delta < full.stats.recomputations * 0.5
+
+
+def fresh_incremental(references):
+    domain = PimDomainModel()
+    incremental = IncrementalReconciler(
+        ReferenceStore(domain.schema, references), domain, EngineConfig()
+    )
+    incremental.initial()
+    return incremental
+
+
+class TestRejectedBatch:
+    @pytest.mark.parametrize("kind", sorted(BAD_BATCH_TAILS))
+    def test_rejected_batch_leaves_reconciler_usable(self, kind):
+        base, batch = split_example1()
+        # A valid reference ahead of the bad one must not be kept either.
+        prefix = Reference("x1", "Person", {"name": ("Eugene Wong",)})
+        incremental = fresh_incremental(base)
+        size = len(incremental.store)
+        with pytest.raises((SchemaError, ValueError)):
+            incremental.add([prefix, BAD_BATCH_TAILS[kind]])
+        assert len(incremental.store) == size
+        assert "x1" not in incremental.store
+        assert "x1" not in incremental.reconciler._members
+
+        never_bad = fresh_incremental(base)
+        assert incremental.add(batch).partitions == never_bad.add(batch).partitions
+        # The rejected batch's valid reference can still arrive later.
+        assert (
+            incremental.add([prefix]).partitions
+            == never_bad.add([prefix]).partitions
+        )
+
+
+def oracle_weak_edges(engine, per_class_nodes):
+    """Brute force: every weak edge a whole-store owner scan gives the
+    nodes in *per_class_nodes* (as contact pairs), as directed keys."""
+    expected = set()
+    for dependency in engine.domain.weak_dependencies():
+        if not engine.config.weak_enabled(dependency.class_name):
+            continue
+        owners = {}
+        for reference in engine.store:
+            if reference.class_name != dependency.class_name:
+                continue
+            for attribute in dependency.attrs:
+                for contact_id in reference.get(attribute):
+                    owners.setdefault(engine._elem(contact_id), set()).add(
+                        engine._elem(reference.ref_id)
+                    )
+        for node in per_class_nodes.get(dependency.class_name, ()):
+            for owner_l in owners.get(node.left, ()):
+                for owner_r in owners.get(node.right, ()):
+                    if owner_l == owner_r:
+                        continue
+                    owner_node = engine.graph.get(owner_l, owner_r)
+                    if owner_node is None or owner_node is node:
+                        continue
+                    expected.add((node.key, owner_node.key))
+                    expected.add((owner_node.key, node.key))
+    return expected
+
+
+def split_into_batches(dataset, held_out: int, batch_size: int):
+    """Base plus batches from every fifth reference (store order), with
+    links kept only to the base and to the same or earlier batches, so
+    the base and each prefix of batches validate on their own."""
+    references = list(dataset.store)
+    held = [ref.ref_id for ref in references[::5]][:held_out]
+    batch_of = {ref_id: index // batch_size for index, ref_id in enumerate(held)}
+    schema = dataset.store.schema
+    base, batches = [], [[] for _ in range(-(-len(held) // batch_size))]
+    for ref in references:
+        own = batch_of.get(ref.ref_id, -1)
+        values = {}
+        for attr, vals in ref.values.items():
+            if schema.cls(ref.class_name).attribute(attr).is_association:
+                vals = tuple(v for v in vals if batch_of.get(v, -1) <= own)
+            values[attr] = vals
+        kept = Reference(ref.ref_id, ref.class_name, values, ref.source)
+        (base if own < 0 else batches[own]).append(kept)
+    return base, batches
+
+
+class TestWeakWiring:
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_add_wires_the_weak_edges_of_a_whole_store_scan(self, variant):
+        dataset = generate_pim_dataset(variant, scale=0.15)
+        base, batches = split_into_batches(dataset, held_out=60, batch_size=10)
+        incremental = fresh_incremental(base)
+        engine = incremental.reconciler
+        wire = engine._wire_weak_edges
+        add_edge = engine.graph.add_edge
+        checked = []
+
+        def checked_wire(per_class_nodes):
+            expected = oracle_weak_edges(engine, per_class_nodes)
+            created = set()
+
+            def spy(source, target, edge_type):
+                if edge_type is EdgeType.WEAK:
+                    created.add((source.key, target.key))
+                add_edge(source, target, edge_type)
+
+            engine.graph.add_edge = spy
+            try:
+                wire(per_class_nodes)
+            finally:
+                del engine.graph.add_edge
+            checked.append((expected, created))
+
+        engine._wire_weak_edges = checked_wire
+        for batch in batches:
+            incremental.add(batch)
+        assert len(checked) == len(batches)
+        for expected, created in checked:
+            assert created == expected
+        assert engine.stats.skipped_weak_fanout == 0
+        assert sum(len(expected) for expected, _ in checked) > 0
+
+    def test_add_never_scans_a_class(self, monkeypatch, tiny_pim_a):
+        base, batches = split_into_batches(tiny_pim_a, held_out=30, batch_size=10)
+        incremental = fresh_incremental(base)
+
+        def forbidden(self, class_name):
+            raise AssertionError(f"add() scanned class {class_name!r}")
+
+        monkeypatch.setattr(ReferenceStore, "of_class", forbidden)
+        for batch in batches:
+            incremental.add(batch)
+
+    def test_fanout_ceiling_recorded_as_degradation(self, monkeypatch):
+        base, batch = split_example1()
+        incremental = fresh_incremental(base)
+        stats = incremental.reconciler.stats
+        assert stats.degradations == []
+        monkeypatch.setattr(engine_module, "_MAX_WEAK_FANOUT", 0)
+        result = incremental.add(batch)
+        skipped = stats.skipped_weak_fanout
+        assert skipped > 0
+        assert [event.kind for event in result.degradations] == ["weak_fanout"]
+        assert result.degradations[0].detail.startswith(f"skipped {skipped} ")
+        # A later batch records only its own skips: x2 lists x1, so the
+        # new pair of x1 has owners on both sides.
+        result = incremental.add(
+            [
+                Reference("x1", "Person", {"name": ("Michael Stonebraker",)}),
+                Reference(
+                    "x2", "Person", {"name": ("Robert Epstein",), "coAuthor": ("x1",)}
+                ),
+            ]
+        )
+        later = stats.skipped_weak_fanout - skipped
+        assert later > 0
+        assert [event.kind for event in result.degradations] == ["weak_fanout"] * 2
+        assert result.degradations[1].detail.startswith(f"skipped {later} ")

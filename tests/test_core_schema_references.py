@@ -13,6 +13,8 @@ from repro.core import (
 )
 from repro.domains import PIM_SCHEMA
 
+from .conftest import BAD_BATCH_TAILS
+
 
 class TestSchema:
     def test_attribute_kinds(self):
@@ -120,3 +122,92 @@ class TestReferenceStore:
         assert len(example1_store.of_class("Person")) == 9
         assert len(example1_store.of_class("Article")) == 2
         assert len(example1_store.of_class("Venue")) == 2
+
+
+# Links that validate() must reject, as (extra stored refs, bad ref).
+BAD_LINKS = {
+    "dangling": ([], Reference("r2", "Person", {"coAuthor": ("ghost",)})),
+    "wrong target class": (
+        [Reference("v1", "Venue", {"name": ("SIGMOD",)})],
+        Reference("r2", "Person", {"coAuthor": ("v1",)}),
+    ),
+}
+
+
+def checked_ids(monkeypatch):
+    """Ids whose links validate()/extend() check from now on."""
+    seen = []
+    check = ReferenceStore._check_links
+
+    def spy(self, reference, *args):
+        seen.append(reference.ref_id)
+        return check(self, reference, *args)
+
+    monkeypatch.setattr(ReferenceStore, "_check_links", spy)
+    return seen
+
+
+class TestIncrementalValidate:
+    @pytest.mark.parametrize("case", sorted(BAD_LINKS))
+    def test_bad_link_added_after_validate_rejected(self, case):
+        extra, bad = BAD_LINKS[case]
+        store = ReferenceStore(PIM_SCHEMA, [Reference("r1", "Person", {}), *extra])
+        store.validate()
+        store.add(bad)
+        with pytest.raises(SchemaError):
+            store.validate()
+        with pytest.raises(SchemaError):  # a failed check is not forgotten
+            store.validate()
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINKS))
+    def test_bad_link_replaced_in_after_validate_rejected(self, case):
+        extra, bad = BAD_LINKS[case]
+        store = ReferenceStore(PIM_SCHEMA, [Reference("r2", "Person", {}), *extra])
+        store.validate()
+        store.replace(bad)
+        with pytest.raises(SchemaError):
+            store.validate()
+
+    def test_superseded_reference_not_rechecked(self, monkeypatch):
+        _, bad = BAD_LINKS["dangling"]
+        store = ReferenceStore(PIM_SCHEMA, [bad])
+        store.replace(Reference("r2", "Person", {"name": ("A",)}))
+        seen = checked_ids(monkeypatch)
+        store.validate()
+        assert seen == ["r2"]
+
+    def test_only_new_references_checked(self, monkeypatch, example1_store):
+        example1_store.validate()
+        seen = checked_ids(monkeypatch)
+        example1_store.add(Reference("x1", "Person", {"coAuthor": ("p1",)}))
+        example1_store.replace(Reference("p2", "Person", {"name": ("M. S.",)}))
+        example1_store.validate()
+        assert seen == ["x1", "p2"]
+        example1_store.validate()
+        assert seen == ["x1", "p2"]
+
+
+class TestExtend:
+    @pytest.mark.parametrize("kind", sorted(BAD_BATCH_TAILS))
+    def test_bad_batch_stores_nothing(self, example1_store, kind):
+        size = len(example1_store)
+        with pytest.raises((SchemaError, ValueError)):
+            example1_store.extend(
+                [Reference("x1", "Person", {}), BAD_BATCH_TAILS[kind]]
+            )
+        assert len(example1_store) == size
+        assert "x1" not in example1_store
+        assert example1_store.class_counts()["Person"] == 9
+
+    def test_links_resolve_within_batch(self, monkeypatch, example1_store):
+        example1_store.validate()
+        example1_store.extend(
+            [
+                Reference("x1", "Person", {"coAuthor": ("x2", "p1")}),
+                Reference("x2", "Person", {"emailContact": ("x1",)}),
+            ]
+        )
+        assert example1_store.get("x1").get("coAuthor") == ("x2", "p1")
+        seen = checked_ids(monkeypatch)
+        example1_store.validate()  # the batch was checked on the way in
+        assert seen == []
