@@ -27,6 +27,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..obs.convergence import ConvergenceCounts
 from ..obs.flight import FlightRecorder
 from ..obs.hotspots import HotspotSketch
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -164,8 +165,8 @@ class Reconciler:
         # Set when a mid-build scorer failure disabled parallelism for
         # the remaining classes (the scorer is already shut down).
         self._parallel_disabled = False
-        # Convergence sampling (run manifests): (gold entity_of, every).
-        self._convergence: tuple[dict[str, str], int] | None = None
+        # Convergence sampling (run manifests): (pair counts, every).
+        self._convergence: tuple[ConvergenceCounts, int] | None = None
         # Cross-process telemetry relay, created lazily the first time
         # a parallel scorer is built with live sinks; stays
         # None (zero cost) when telemetry is off or provenance-only.
@@ -199,12 +200,26 @@ class Reconciler:
         the recomputation counter, which is checkpointed, so a resumed
         run continues the exact sample sequence an uninterrupted run
         produces. Sampling is read-only: it cannot change any decision.
+
+        Set-up is one O(store) pass that counts gold pairs per cluster
+        (:class:`~repro.obs.convergence.ConvergenceCounts`); from then
+        on a union-find listener keeps the counts current, so each
+        sample costs O(1). Attaching again replaces the earlier counts.
         """
-        if gold_entity_of:
-            self._convergence = (dict(gold_entity_of), max(1, int(every)))
+        if not gold_entity_of:
+            return
+        if self._convergence is not None:
+            self._convergence[0].detach()
+        counts = ConvergenceCounts(dict(gold_entity_of), self.uf, self.store)
+        self._convergence = (counts, max(1, int(every)))
+
+    @property
+    def convergence_counts(self) -> ConvergenceCounts | None:
+        """The live pair counts behind convergence samples, if attached."""
+        return None if self._convergence is None else self._convergence[0]
 
     def _sample_convergence(self, *, final: bool = False) -> None:
-        gold, every = self._convergence
+        counts, every = self._convergence
         n = self.stats.recomputations
         samples = self.stats.convergence_samples
         if not final and n % every:
@@ -213,24 +228,12 @@ class Reconciler:
             if not final:
                 return
             samples.pop()  # the final state supersedes the boundary sample
-        from ..evaluation.metrics import combine_scores, pairwise_scores
-
-        per_class: dict[str, dict[str, list[str]]] = {}
-        for reference in self.store:
-            if reference.ref_id not in gold:
-                continue
-            per_class.setdefault(reference.class_name, {}).setdefault(
-                self.uf.find(reference.ref_id), []
-            ).append(reference.ref_id)
-        scores = combine_scores(
-            pairwise_scores(groups.values(), gold) for groups in per_class.values()
-        )
         point = {
             "recomputations": n,
             "merges": self.stats.merges,
             "queued": len(self.queue),
-            "precision": round(scores.precision, 6),
-            "recall": round(scores.recall, 6),
+            "precision": round(counts.precision, 6),
+            "recall": round(counts.recall, 6),
         }
         samples.append(point)
         self.telemetry.emit("debug", "convergence_sample", **point)

@@ -74,9 +74,12 @@ class IncrementalReconciler:
             raise RuntimeError("call initial() before add()")
         engine = self._reconciler
         engine.store.extend(new_references)
+        counts = engine.convergence_counts
         for reference in new_references:
-            engine.uf.find(reference.ref_id)
+            root = engine.uf.find(reference.ref_id)
             engine._members.setdefault(reference.ref_id, [reference.ref_id])
+            if counts is not None:
+                counts.add(reference, root)
         if engine._weak_owners is not None:
             engine._index_weak_owners(new_references)
 

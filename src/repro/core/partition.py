@@ -44,6 +44,11 @@ class UnionFind:
         effective union, once bookkeeping is complete."""
         self._listeners.append(listener)
 
+    def remove_union_listener(self, listener) -> None:
+        """Stop calling *listener*; a no-op if it is not registered."""
+        if listener in self._listeners:
+            self._listeners.remove(listener)
+
     def __contains__(self, item: Hashable) -> bool:
         return item in self._parent
 

@@ -33,6 +33,8 @@ plumbing.
 
 from __future__ import annotations
 
+import heapq
+
 __all__ = ["SpaceSaving", "HotspotSketch", "gini"]
 
 #: default tracked keys per sketch — enough for a top-10 report with
@@ -45,10 +47,17 @@ class SpaceSaving:
 
     Deterministic by construction: ties on minimum weight break on the
     lexicographically smallest key, so two runs absorbing the same
-    stream report identical contents.
+    stream report identical contents. Weights must be non-negative.
+
+    Eviction finds the minimum through a lazy min-heap holding one
+    ``(weight, key)`` item per tracked key. An update leaves the item
+    alone, so an item can trail its key's weight (weights only grow);
+    eviction refreshes trailing items as they surface and takes the
+    first item that is current. Updates to tracked keys stay O(1) and
+    the heap never outgrows ``capacity``.
     """
 
-    __slots__ = ("capacity", "entries", "updates", "total_weight")
+    __slots__ = ("capacity", "entries", "updates", "total_weight", "_heap")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = max(1, int(capacity))
@@ -56,6 +65,7 @@ class SpaceSaving:
         self.entries: dict = {}
         self.updates = 0
         self.total_weight = 0.0
+        self._heap: list = []
 
     def add(self, key: str, weight: float = 1.0) -> None:
         self.updates += 1
@@ -67,12 +77,25 @@ class SpaceSaving:
             return
         if len(self.entries) < self.capacity:
             self.entries[key] = [weight, 1, 0.0]
+            heapq.heappush(self._heap, (weight, key))
             return
-        victim_key = min(self.entries, key=lambda k: (self.entries[k][0], k))
-        victim_weight = self.entries.pop(victim_key)[0]
+        victim_weight = self.entries.pop(self._pop_min())[0]
         # The newcomer inherits the evicted weight as both baseline and
         # error bound — the Space-Saving overestimation guarantee.
         self.entries[key] = [victim_weight + weight, 1, victim_weight]
+        heapq.heappush(self._heap, (victim_weight + weight, key))
+
+    def _pop_min(self) -> str:
+        """Remove and return the key with the least ``(weight, key)``."""
+        heap = self._heap
+        while True:
+            weight, key = heap[0]
+            current = self.entries[key][0]
+            if current > weight:
+                heapq.heapreplace(heap, (current, key))
+                continue
+            heapq.heappop(heap)
+            return key
 
     def top(self, n: int) -> list:
         """``[(key, weight, count, error)]`` — heaviest first, ties on key."""

@@ -22,7 +22,7 @@ provenance cannot perturb resume determinism.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..core.nodes import PairKey, pair_key
@@ -83,11 +83,26 @@ class DecisionRecord:
     recompute_index: int = 0
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["pair"] = list(self.pair)
-        if self.trigger_pair is not None:
-            data["trigger_pair"] = list(self.trigger_pair)
-        return data
+        # Spelled out in field order instead of dataclasses.asdict,
+        # whose recursive deep copy dominated recording a decision.
+        return {
+            "seq": self.seq,
+            "pair": list(self.pair),
+            "class_name": self.class_name,
+            "decision": self.decision,
+            "score": self.score,
+            "threshold": self.threshold,
+            "s_rv": self.s_rv,
+            "t_rv": self.t_rv,
+            "strong_support": self.strong_support,
+            "weak_support": self.weak_support,
+            "channels": dict(self.channels),
+            "trigger": self.trigger,
+            "trigger_pair": (
+                None if self.trigger_pair is None else list(self.trigger_pair)
+            ),
+            "recompute_index": self.recompute_index,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionRecord":

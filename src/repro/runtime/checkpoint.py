@@ -141,6 +141,11 @@ def restore_engine(engine: Reconciler, state: dict) -> None:
     # cache-invalidation listener (listeners are runtime state and are
     # deliberately not serialised).
     engine.uf.add_union_listener(engine._invalidate_contacts)
+    if engine._convergence is not None:
+        # Convergence counts follow the union-find: recount them over
+        # the restored one.
+        counts, every = engine._convergence
+        engine.attach_convergence(counts.gold, every=every)
     engine.stop_reason = state.get("stop_reason", "converged")
     engine._built = state["built"]
     engine._per_class_nodes = {}

@@ -15,6 +15,8 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EngineConfig, Reconciler
 from repro.datasets import generate_cora_dataset, generate_pim_dataset
@@ -127,6 +129,64 @@ class TestSpaceSaving:
         for key, (weight, error) in reported.items():
             assert weight - error <= true_weights.get(key, 0.0) <= weight
             assert error <= sketch.error_bound()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=6),
+        stream=st.lists(
+            st.tuples(
+                st.sampled_from("abcdefghij"),
+                # Few distinct weights, zero included, so ties on the
+                # minimum weight are common.
+                st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.25]),
+            ),
+            max_size=80,
+        ),
+    )
+    def test_heap_eviction_matches_full_scan(self, capacity, stream):
+        sketch = SpaceSaving(capacity=capacity)
+        oracle = _ScanSpaceSaving(capacity)
+        for key, weight in stream:
+            sketch.add(key, weight)
+            oracle.add(key, weight)
+            assert sketch.entries == oracle.entries
+            assert len(sketch._heap) == len(sketch.entries)
+        assert sketch.top(capacity + 1) == oracle.top(capacity + 1)
+        assert sketch.error_bound() == oracle.error_bound()
+        assert sketch.updates == oracle.updates
+
+
+class _ScanSpaceSaving:
+    """The sketch as it was before the eviction heap: a full scan for
+    the minimum ``(weight, key)`` on every eviction. Kept as the oracle."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.entries: dict = {}
+        self.updates = 0
+        self.total_weight = 0.0
+
+    def add(self, key: str, weight: float) -> None:
+        self.updates += 1
+        self.total_weight += weight
+        entry = self.entries.get(key)
+        if entry is not None:
+            entry[0] += weight
+            entry[1] += 1
+            return
+        if len(self.entries) < self.capacity:
+            self.entries[key] = [weight, 1, 0.0]
+            return
+        victim_key = min(self.entries, key=lambda k: (self.entries[k][0], k))
+        victim_weight = self.entries.pop(victim_key)[0]
+        self.entries[key] = [victim_weight + weight, 1, victim_weight]
+
+    def top(self, n: int) -> list:
+        ranked = sorted(self.entries.items(), key=lambda item: (-item[1][0], item[0]))
+        return [(key, entry[0], entry[1], entry[2]) for key, entry in ranked[:n]]
+
+    def error_bound(self) -> float:
+        return self.total_weight / self.capacity
 
 
 class TestGini:

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.core import EngineConfig, Reconciler
+from repro.core import EngineConfig, IncrementalReconciler, Reconciler, ReferenceStore
 from repro.datasets import generate_pim_dataset
 from repro.domains import CoraDomainModel, PimDomainModel
 from repro.obs import (
@@ -24,7 +24,16 @@ from repro.obs import (
     validate_manifest,
     write_manifest,
 )
-from repro.runtime import Checkpointer, CrashAtStep, InjectedFault
+from repro.evaluation.metrics import combine_scores, pairwise_scores
+from repro.runtime import (
+    Checkpointer,
+    CrashAtStep,
+    InjectedFault,
+    load_checkpoint,
+    restore_engine,
+)
+
+from .test_core_incremental import split_into_batches
 
 DATASETS = ["A", "B", "C", "D", "cora"]
 
@@ -141,3 +150,183 @@ class TestInvariance:
         # samples are keyed by the checkpointed recomputation counter,
         # so the resumed run reproduces them exactly, boundary included
         assert uninterrupted["convergence"] == manifest["convergence"]
+
+
+def _recount(engine, gold):
+    """Pairwise scores of *engine*'s current union-find, from scratch:
+    the per-class recount convergence samples used to take."""
+    per_class: dict[str, dict[str, list[str]]] = {}
+    for reference in engine.store:
+        if reference.ref_id in gold:
+            per_class.setdefault(reference.class_name, {}).setdefault(
+                engine.uf.find(reference.ref_id), []
+            ).append(reference.ref_id)
+    return combine_scores(
+        pairwise_scores(groups.values(), gold) for groups in per_class.values()
+    )
+
+
+def _check_every_sample(engine, gold):
+    """Make each convergence sample *engine* takes assert that the
+    union-find's pair counts equal a from-scratch recount; returns the
+    list of checked samples."""
+    checked = []
+    sample = engine._sample_convergence
+
+    def checking_sample(*, final=False):
+        before = list(engine.stats.convergence_samples)
+        sample(final=final)
+        samples = engine.stats.convergence_samples
+        if samples == before:
+            return
+        scratch = _recount(engine, gold)
+        counts = engine.convergence_counts
+        assert (counts.true_pairs, counts.predicted_pairs, counts.gold_pairs) == (
+            scratch.true_pairs,
+            scratch.predicted_pairs,
+            scratch.gold_pairs,
+        )
+        assert samples[-1]["precision"] == round(scratch.precision, 6)
+        assert samples[-1]["recall"] == round(scratch.recall, 6)
+        checked.append(samples[-1])
+
+    engine._sample_convergence = checking_sample
+    return checked
+
+
+class TestConvergenceCounts:
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_every_sample_equals_a_recount(self, datasets, name):
+        dataset = datasets[name]
+        engine = Reconciler(dataset.store, _domain(name), EngineConfig())
+        engine.attach_convergence(dataset.gold.entity_of, every=25)
+        checked = _check_every_sample(engine, dataset.gold.entity_of)
+        engine.run()
+        assert len(checked) >= 2
+        assert checked == engine.stats.convergence_samples
+        assert checked[-1]["precision"] < 1.0 or checked[-1]["recall"] < 1.0
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_every_sample_equals_a_recount_after_resume(
+        self, datasets, name, tmp_path
+    ):
+        dataset = datasets[name]
+        gold = dataset.gold.entity_of
+        uninterrupted = _run(dataset, name)
+        engine = Reconciler(dataset.store, _domain(name), EngineConfig())
+        engine.attach_convergence(gold, every=25)
+        checkpointer = Checkpointer(tmp_path / name, every=10)
+        with pytest.raises(InjectedFault):
+            engine.run(checkpointer=checkpointer, step_hook=CrashAtStep(35))
+        resumed = Reconciler.resume(
+            checkpointer.path, store=dataset.store, domain=_domain(name)
+        )
+        resumed.attach_convergence(gold, every=25)
+        checked = _check_every_sample(resumed, gold)
+        resumed.run()
+        assert checked
+        assert resumed.stats.convergence_samples == uninterrupted["convergence"]
+
+    def test_counts_follow_a_union_find_restored_after_attach(self, datasets, tmp_path):
+        dataset = datasets["B"]
+        gold = dataset.gold.entity_of
+        uninterrupted = _run(dataset, "B")
+        engine = Reconciler(dataset.store, _domain("B"), EngineConfig())
+        engine.attach_convergence(gold, every=25)
+        checkpointer = Checkpointer(tmp_path, every=10)
+        with pytest.raises(InjectedFault):
+            engine.run(checkpointer=checkpointer, step_hook=CrashAtStep(35))
+        # Attach first, restore second: restore must recount over the
+        # union-find it installs.
+        restored = Reconciler(dataset.store, _domain("B"), EngineConfig())
+        restored.attach_convergence(gold, every=25)
+        restore_engine(restored, load_checkpoint(checkpointer.path))
+        checked = _check_every_sample(restored, gold)
+        restored.run()
+        assert checked
+        assert restored.stats.convergence_samples == uninterrupted["convergence"]
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_every_sample_equals_a_recount_across_incremental_adds(self, variant):
+        dataset = generate_pim_dataset(variant, scale=0.15)
+        gold = dataset.gold.entity_of
+        base, batches = split_into_batches(dataset, held_out=60, batch_size=10)
+        domain = PimDomainModel()
+        incremental = IncrementalReconciler(
+            ReferenceStore(domain.schema, base), domain, EngineConfig()
+        )
+        engine = incremental.reconciler
+        engine.attach_convergence(gold, every=5)
+        checked = _check_every_sample(engine, gold)
+        incremental.initial()
+        base_gold_pairs = engine.convergence_counts.gold_pairs
+        for batch in batches:
+            before = len(checked)
+            incremental.add(batch)
+            assert len(checked) > before  # at least the final sample
+        # the batches brought gold pairs of their own
+        assert engine.convergence_counts.gold_pairs > base_gold_pairs
+
+    def test_attaching_twice_counts_once(self, datasets):
+        dataset = datasets["B"]
+        once = _run(dataset, "B")
+        engine = Reconciler(dataset.store, _domain("B"), EngineConfig())
+        engine.attach_convergence(dataset.gold.entity_of, every=25)
+        engine.attach_convergence(dataset.gold.entity_of, every=25)
+        checked = _check_every_sample(engine, dataset.gold.entity_of)
+        engine.run()
+        assert checked == once["convergence"]
+        # the engine's cache invalidation plus one set of counts
+        assert len(engine.uf._listeners) == 2
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_final_sample_is_the_micro_averaged_quality(self, datasets, name):
+        dataset = datasets[name]
+        gold = dataset.gold.entity_of
+        engine = Reconciler(dataset.store, _domain(name), EngineConfig())
+        engine.attach_convergence(gold, every=25)
+        result = engine.run()
+        manifest = build_manifest(dataset=dataset, reconciler=engine, result=result)
+        per_class = {
+            class_name: pairwise_scores(result.partitions[class_name], gold)
+            for class_name in manifest["quality"]
+        }
+        for class_name, scores in per_class.items():
+            reported = manifest["quality"][class_name]["pairwise"]
+            assert reported["precision"] == round(scores.precision, 6)
+            assert reported["recall"] == round(scores.recall, 6)
+        overall = combine_scores(per_class.values())
+        final = manifest["convergence"][-1]
+        assert final["precision"] == round(overall.precision, 6)
+        assert final["recall"] == round(overall.recall, 6)
+
+    def test_iterate_never_walks_the_store(self, datasets, monkeypatch):
+        dataset = datasets["B"]
+        engine = Reconciler(dataset.store, _domain("B"), EngineConfig())
+        engine.attach_convergence(dataset.gold.entity_of, every=1)
+        walks = []
+        iterating = [False]
+        store_iter = ReferenceStore.__iter__
+
+        def spy(store):
+            if iterating[0]:
+                walks.append(store)
+            return store_iter(store)
+
+        build, result = engine.build, engine._result
+
+        def build_then_watch():
+            build()
+            iterating[0] = True
+
+        def stop_watching():
+            iterating[0] = False
+            return result()
+
+        monkeypatch.setattr(ReferenceStore, "__iter__", spy)
+        engine.build = build_then_watch
+        engine._result = stop_watching
+        engine.run()
+        assert not iterating[0]
+        assert len(engine.stats.convergence_samples) > 100
+        assert walks == [], f"the store was walked {len(walks)} times while iterating"

@@ -8,6 +8,7 @@ live decisions exactly.
 """
 
 import json
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -129,6 +130,64 @@ class TestDecisionRecords:
             validate_decision({**data, "decision": "coin_flip"})
         with pytest.raises(SchemaError):
             validate_decision({**data, "trigger": "astrology"})
+
+
+def _asdict_form(record: DecisionRecord) -> dict:
+    """The record as ``to_dict`` built it from ``dataclasses.asdict``,
+    before it spelled the fields out."""
+    data = asdict(record)
+    data["pair"] = list(record.pair)
+    if record.trigger_pair is not None:
+        data["trigger_pair"] = list(record.trigger_pair)
+    return data
+
+
+_RECORDS = {
+    "seed, no channels": DecisionRecord(
+        seq=0, pair=("a", "b"), class_name="Person", decision="defer",
+        score=0.25, threshold=0.8, s_rv=0.25, t_rv=0.8,
+        strong_support=0, weak_support=0,
+    ),
+    "trigger pair and channels": DecisionRecord(
+        seq=7, pair=("p2", "p5"), class_name="Person", decision="merge",
+        score=0.912345, threshold=0.85, s_rv=0.8, t_rv=0.7,
+        strong_support=2, weak_support=1,
+        channels={"name": 0.75, "email": 1.0, "coAuthor": 0.333333},
+        trigger="strong", trigger_pair=("a1", "a2"), recompute_index=41,
+    ),
+}
+
+
+class TestDecisionRecordDict:
+    @pytest.mark.parametrize("kind", sorted(_RECORDS))
+    def test_same_json_as_the_asdict_form(self, kind):
+        record = _RECORDS[kind]
+        assert json.dumps(record.to_dict()) == json.dumps(_asdict_form(record))
+
+    def test_same_json_as_the_asdict_form_for_a_real_run(self, audited_pim):
+        records = audited_pim.telemetry.provenance.records
+        assert any(r.trigger_pair is not None for r in records)
+        assert any(r.trigger_pair is None for r in records)
+        assert any(r.channels for r in records)
+        for record in records:
+            assert json.dumps(record.to_dict()) == json.dumps(_asdict_form(record))
+
+    @pytest.mark.parametrize("kind", sorted(_RECORDS))
+    def test_keys_are_the_fields_in_order(self, kind):
+        keys = list(_RECORDS[kind].to_dict())
+        assert keys == [f.name for f in fields(DecisionRecord)]
+
+    def test_returned_channels_are_a_copy(self):
+        record = _RECORDS["trigger pair and channels"]
+        before = dict(record.channels)
+        data = record.to_dict()
+        data["channels"]["name"] = -1.0
+        data["channels"]["extra"] = 0.5
+        data["pair"].append("c")
+        data["trigger_pair"].clear()
+        assert record.channels == before
+        assert record.pair == ("p2", "p5")
+        assert record.trigger_pair == ("a1", "a2")
 
 
 class TestExplainReplay:
