@@ -23,7 +23,7 @@ Commands:
   with ``--once``. Works on concurrent *and* finished runs.
 * ``doctor`` — post-mortem diagnosis of a recorded run: reads the
   crash bundle (when the run crashed or degraded) and the manifest,
-  prints what failed, what degraded, the flight-recorder tail and
+  prints what failed, what degraded, the last decisions and
   actionable hints. Exit code 0 = clean, 1 = crashed/degraded,
   2 = nothing to diagnose.
 * ``hotspots`` — heavy-hitter workload attribution for a recorded
@@ -34,9 +34,9 @@ Commands:
 ``reconcile`` / ``evaluate`` / ``explain`` accept ``--run-dir DIR`` to
 collect a run's artifacts in one directory and emit a versioned
 ``run.json`` manifest — the unit ``diff`` and ``report`` operate on.
-They also accept ``--live`` (an in-place stderr HUD) and ``--profile``
-(a sampling wall-clock profiler exporting folded stacks + speedscope
-JSON); neither changes results.
+They also accept ``--profile`` (a sampling wall-clock profiler
+exporting folded stacks + speedscope JSON), which does not change
+results.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ from .obs import (
 )
 
 __all__ = ["main", "build_parser"]
+
+#: where a --run-dir run with --workers > 1 quarantines poisoned pairs.
+POISON_LOG_FILENAME = "poisoned_pairs.jsonl"
 
 
 def _domain_for(dataset_name: str):
@@ -138,8 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         obs.add_argument(
             "--log-level", default="info", choices=sorted(LEVELS),
-            help="minimum event level for --log-json (default info; debug "
-            "adds per-merge events and iterate progress)",
+            help="minimum event level for --log-json (default info, which "
+            "includes iterate progress every 1,000 steps; debug adds "
+            "per-merge events, build phases and convergence samples)",
         )
         obs.add_argument(
             "--trace", default=None, metavar="PATH",
@@ -163,12 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
             "sampler) and write profile.folded + profile.speedscope.json "
             "into the run directory (or the working directory without "
             "--run-dir); strictly observational, results unchanged",
-        )
-        obs.add_argument(
-            "--live", action="store_true",
-            help="redraw a one-line status HUD on stderr while the run "
-            "executes (phase, queue depth, merges, cache hit rate, ETA); "
-            "read-only, results unchanged",
         )
 
     for runner in (reconcile, evaluate):
@@ -380,7 +378,8 @@ def _apply_run_dir(options) -> Path | None:
     """Materialize ``--run-dir``: create it and default the provenance
     log and event stream into it (truncating stale ones on a fresh,
     non-resume run so both artifacts match this run exactly; a resumed
-    run append-continues them). Idempotent."""
+    run append-continues them). A fresh run also drops a stale crash
+    bundle and poisoned-pair log. Idempotent."""
     run_dir = getattr(options, "run_dir", None) if options is not None else None
     if not run_dir:
         return None
@@ -388,11 +387,13 @@ def _apply_run_dir(options) -> Path | None:
     run_dir.mkdir(parents=True, exist_ok=True)
     resuming = bool(getattr(options, "resume", None))
     if not resuming:
-        # A stale crash bundle describes some *previous* run; a fresh
-        # run must start with none so its absence means "clean".
+        # A stale crash bundle or poison log describes some *previous*
+        # run; a fresh run must start with neither so their absence
+        # means "clean".
         from .obs.flight import CRASH_BUNDLE_FILENAME
 
         (run_dir / CRASH_BUNDLE_FILENAME).unlink(missing_ok=True)
+        (run_dir / POISON_LOG_FILENAME).unlink(missing_ok=True)
     if getattr(options, "provenance", None) is None:
         default = run_dir / "provenance.jsonl"
         if not resuming:
@@ -432,8 +433,8 @@ def _run_artifacts(options, run_dir: Path) -> dict:
     if getattr(options, "profile", False):
         artifacts["profile"] = "profile.folded"
         artifacts["speedscope"] = "profile.speedscope.json"
-    if int(getattr(options, "workers", 1) or 1) > 1:
-        artifacts["poison_log"] = "poisoned_pairs.jsonl"
+    if (run_dir / POISON_LOG_FILENAME).exists():
+        artifacts["poison_log"] = POISON_LOG_FILENAME
     return artifacts
 
 
@@ -477,7 +478,7 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
         if run_dir is not None:
             # Poisoned pairs are a run artifact like provenance: default
             # their quarantine file into the run directory.
-            overrides["poison_log"] = str(run_dir / "poisoned_pairs.jsonl")
+            overrides["poison_log"] = str(run_dir / POISON_LOG_FILENAME)
     for attr in ("task_timeout", "max_task_retries", "retry_backoff"):
         value = getattr(options, attr, None)
         if value is not None:
@@ -538,7 +539,12 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
         spec = json.loads(chaos_env)
         marker = spec.pop("marker_dir", None)
         if marker is None and run_dir is not None:
-            marker = str(run_dir / "chaos_markers")
+            # The injector claims its once-only marker files with
+            # O_CREAT, which fails (and so never fires) in a missing
+            # directory.
+            marker = run_dir / "chaos_markers"
+            marker.mkdir(exist_ok=True)
+            marker = str(marker)
         if "raise_pairs" in spec:
             spec["raise_pairs"] = tuple(tuple(pair) for pair in spec["raise_pairs"])
         reconciler.chaos = ChaosInjector(marker_dir=marker, **spec)
@@ -547,22 +553,12 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
         from .obs.profile import SamplingProfiler
 
         profiler = SamplingProfiler().start()
-    hud = None
-    if getattr(options, "live", False):
-        from .obs.live import LiveHud
-
-        hud = LiveHud()
-        hud.phase("build")
     try:
-        result = reconciler.run(
-            guard=guard,
-            checkpointer=checkpointer,
-            step_hook=hud.step_hook if hud is not None else None,
-        )
+        result = reconciler.run(guard=guard, checkpointer=checkpointer)
     except BaseException as exc:
-        # The flight recorder's whole purpose: an unhandled failure in
-        # a --run-dir run leaves a post-mortem bundle behind. Dumping
-        # is best-effort and the original exception always propagates.
+        # An unhandled failure in a --run-dir run leaves a post-mortem
+        # bundle behind. Dumping is best-effort and the original
+        # exception always propagates.
         if run_dir is not None:
             bundle_path = _dump_bundle(
                 run_dir,
@@ -574,9 +570,6 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
                 print(f"wrote crash bundle to {bundle_path}", file=sys.stderr)
         raise
     finally:
-        if hud is not None:
-            hud.phase("done")
-            hud.close()
         if profiler is not None:
             profiler.stop()
     if profiler is not None:

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..obs.convergence import ConvergenceCounts
-from ..obs.flight import FlightRecorder
 from ..obs.hotspots import HotspotSketch
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..perf.scoring import channel_value_pairs, pair_evidence
@@ -171,14 +170,10 @@ class Reconciler:
         # a parallel scorer is built with live sinks; stays
         # None (zero cost) when telemetry is off or provenance-only.
         self._relay = None
-        #: always-on black-box: bounded ring buffers of recent events,
-        #: decisions, chunk timings and degradations, dumped as a crash
-        #: bundle when a run dies. Strictly observational (set to None
-        #: to prove byte-identity); never checkpointed or fingerprinted.
-        self.flight = FlightRecorder()
         #: streaming heavy-hitter attribution (blocks/pairs/channels +
-        #: blocking skew); observational like the recorder, surfaced in
-        #: the manifest's execution section and `repro hotspots`.
+        #: blocking skew); strictly observational (set to None to prove
+        #: byte-identity), never checkpointed or fingerprinted, surfaced
+        #: in the manifest's execution section and `repro hotspots`.
         self.hotspots = HotspotSketch()
 
     def _get_relay(self):
@@ -345,8 +340,6 @@ class Reconciler:
         started = time.perf_counter()
         tel = self.telemetry
         tel.emit("info", "build_start", references=len(self.store))
-        if self.flight is not None:
-            self.flight.note_event("build_start", references=len(self.store))
         with tel.span("build"):
             self.store.validate()
             if self.config.premerge_keys:
@@ -410,13 +403,6 @@ class Reconciler:
             value_nodes=self.stats.value_nodes,
             queued=len(self.queue),
         )
-        if self.flight is not None:
-            self.flight.note_event(
-                "build_end",
-                seconds=round(self.stats.build_seconds, 6),
-                pair_nodes=self.stats.pair_nodes,
-                queued=len(self.queue),
-            )
         self._built = True
 
     def _note_weak_fanout(self, skipped: int) -> None:
@@ -435,8 +421,6 @@ class Reconciler:
     def _degrade(self, event: DegradationEvent) -> None:
         """Record a degradation in the stats *and* the event stream."""
         self.stats.degradations.append(event)
-        if self.flight is not None:
-            self.flight.note_degradation(event.kind, event.detail)
         self.telemetry.emit("warning", "degradation", kind=event.kind, detail=event.detail)
 
     def _premerge_by_keys(self) -> None:
@@ -483,7 +467,6 @@ class Reconciler:
                 poison_path=self.config.poison_log,
                 chaos=self.chaos,
                 relay=self._get_relay(),
-                flight=self.flight,
             )
         except Exception as exc:
             self._degrade(
@@ -501,9 +484,7 @@ class Reconciler:
         retry / timeout / rebuild / poison counters, the suppressed
         pair keys (so force-created nodes respect poisons too), the
         provenance records, and the worker count actually achieved."""
-        counters = getattr(scorer, "counters", None)
-        if counters is None:
-            return  # a bare ParallelScorer (tests) has no supervision
+        counters = scorer.counters
         self.stats.task_retries += counters["task_retry"]
         self.stats.task_timeouts += counters["task_timeout"]
         self.stats.pool_rebuilds += counters["pool_rebuild"]
@@ -841,8 +822,6 @@ class Reconciler:
         trip: GuardTripped | None = None
         step = 0
         tel = self.telemetry
-        if self.flight is not None:
-            self.flight.note_event("iterate_start", queued=len(self.queue))
         # Per-step instrumentation is resolved once, outside the loop:
         # with telemetry off every extra is None and the loop body is
         # the exact pre-observability code path.
@@ -933,10 +912,6 @@ class Reconciler:
                 tel.metrics.absorb_stats(self.stats)
                 if self.hotspots is not None:
                     self.hotspots.export_metrics(tel.metrics)
-        if self.flight is not None:
-            self.flight.note_event(
-                "iterate_end", stop_reason=self.stop_reason, steps=step
-            )
         if trip is not None and raise_on_trip:
             raise trip
         return self._result()
@@ -1020,7 +995,7 @@ class Reconciler:
                     if chunk_queue_hist is not None:
                         chunk_queue_hist.observe(len(self.queue))
                     tel.emit(
-                        "debug",
+                        "info",
                         "iterate_progress",
                         step=step + 1,
                         queued=len(self.queue),
@@ -1091,15 +1066,9 @@ class Reconciler:
     def _process(self, node: PairNode) -> None:
         """Take the decision for one popped node."""
         prov = self.telemetry.provenance
-        # Flight-recorder decision ring: fed unconditionally (not just
-        # under --provenance) so a crash bundle always carries the tail
-        # of decisions leading up to the failure.
-        fl = self.flight
         if self.uf.connected(node.left, node.right):
             node.status = NodeStatus.MERGED
             node.score = 1.0
-            if fl is not None:
-                fl.note_decision(node.key, node.class_name, "transitive_merge", 1.0)
             if prov is not None:
                 trigger, trigger_pair = prov.take_activation(node.key)
                 prov.record(
@@ -1125,8 +1094,6 @@ class Reconciler:
                 if node.status is NodeStatus.MERGED
                 else "non_merge_conflict"
             )
-            if fl is not None:
-                fl.note_decision(node.key, node.class_name, decision, node.score)
             if prov is not None:
                 self._record_decision(prov, node, capture, decision)
             return
@@ -1139,16 +1106,12 @@ class Reconciler:
             decision = (
                 "merge" if node.status is NodeStatus.MERGED else "non_merge_enemy"
             )
-            if fl is not None:
-                fl.note_decision(node.key, node.class_name, decision, node.score)
             if prov is not None:
                 self._record_decision(prov, node, capture, decision)
             return
         if increased and self.config.propagate:
             for neighbour in self.graph.real_out_nodes(node):
                 self._activate(neighbour, front=False, cause="real", source=node)
-        if fl is not None:
-            fl.note_decision(node.key, node.class_name, "defer", node.score)
         if prov is not None:
             self._record_decision(prov, node, capture, "defer")
 

@@ -31,8 +31,9 @@ And the **cross-process / live layer**:
   sinks with real pid/tid trace lanes,
 * :mod:`~repro.obs.profile` — a stdlib sampling wall-clock profiler
   (``--profile``; folded stacks + speedscope JSON),
-* :mod:`~repro.obs.live` — the ``--live`` stderr HUD and the
-  ``repro watch`` event-log tailer.
+* :mod:`~repro.obs.live` — the ``repro watch`` event-log tailer,
+* :mod:`~repro.obs.flight` — the crash bundle ``repro doctor`` reads,
+  assembled at dump time from the run's stats and provenance tail.
 
 Everything is disabled by default: the engine holds the shared
 :data:`NULL_TELEMETRY` null object and its instrumented paths cost
@@ -46,14 +47,12 @@ from .diffing import DiffVerdict, diff_runs
 from .events import LEVELS, EventLog
 from .flight import (
     CRASH_BUNDLE_FILENAME,
-    FlightRecorder,
     build_crash_bundle,
     dump_crash_bundle,
     load_crash_bundle,
 )
 from .hotspots import HotspotSketch, SpaceSaving, gini
 from .live import (
-    LiveHud,
     follow_events,
     read_events,
     render_hud,
@@ -141,7 +140,6 @@ __all__ = [
     "render_quarantine",
     "render_stats",
     "CRASH_BUNDLE_FILENAME",
-    "FlightRecorder",
     "build_crash_bundle",
     "dump_crash_bundle",
     "load_crash_bundle",
@@ -162,7 +160,6 @@ __all__ = [
     "validate_metrics_snapshot",
     "validate_provenance_jsonl",
     "validate_speedscope",
-    "LiveHud",
     "follow_events",
     "read_events",
     "render_hud",

@@ -14,7 +14,8 @@ event                     emitted when
                           ``class:<name>``, wiring, constraints)
 ``build_end``             graph construction finished (counters)
 ``iterate_start``         the fixpoint loop begins
-``iterate_progress``      periodic progress (step, queue, merges)
+``iterate_progress``      every 1,000 iterate steps: progress (step,
+                          queue, merges); what ``repro watch`` shows
 ``merge`` / ``non_merge`` one reconciliation decision (debug level)
 ``convergence_sample``    a P/R-vs-gold convergence sample was taken
                           (debug level; run-manifest sampling)

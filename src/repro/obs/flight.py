@@ -1,29 +1,22 @@
-"""Flight recorder + crash bundles: the black-box for a run that dies.
+"""Crash bundles: the post-mortem for a run that dies or degrades.
 
 The telemetry stack explains runs that *finish* — manifests, traces,
-provenance replay all render after the fact.  A run that dies mid-build
-used to leave only a stack trace.  The :class:`FlightRecorder` is the
-black-box counterpart: an always-on, bounded-memory set of ring buffers
-(recent events, merge/defer decisions, chunk timings, degradations)
-that costs one attribute check plus a deque append on the hot path and
-performs **zero I/O while the run is healthy**.  When something goes
-wrong — a guard trip, an unhandled engine exception, a pool collapse,
-chaos-injected worker death — the rings are dumped atomically as
-``crash_bundle.json`` into the run directory together with
-per-thread stacks (:func:`sys._current_frames`), the config
-fingerprint, the partial :class:`~repro.core.engine.EngineStats`, and
-the worker-lane rings retained by the telemetry relay.
+provenance replay all render after the fact. When a ``--run-dir`` run
+goes wrong instead — a guard trip, an unhandled engine exception, a
+pool collapse, chaos-injected worker death — the CLI dumps
+``crash_bundle.json`` into the run directory, and ``repro doctor``
+renders it.
 
-Invariants, mirroring every other observer in this package:
+A bundle is assembled at dump time from what the run already holds,
+so a healthy run pays nothing for it:
 
-* recorder state never reaches checkpoints or config fingerprints
-  (it is an engine attribute, not config, and ``engine_state`` never
-  serialises it), so partitions are byte-identical with the recorder
-  attached or set to ``None``;
-* all ring feeds are observational — a ``perf_counter`` read and a
-  deque append — and never influence a decision;
-* ring capacity bounds memory: with the default 256 entries per ring
-  and ~120-byte entries, a recorder tops out around 128 KiB.
+* the config fingerprint and the partial
+  :class:`~repro.core.engine.EngineStats` (which carry every
+  degradation the engine recorded);
+* the tail of the provenance log — the last :data:`DECISION_TAIL`
+  decision records, the same records ``provenance.jsonl`` ends with;
+* the lane deaths the telemetry relay attributed to worker processes;
+* per-thread stacks (:func:`sys._current_frames`) and the exception.
 
 Only stdlib modules are imported at module scope; the writer helper is
 imported lazily inside :func:`dump_crash_bundle` because this module is
@@ -36,12 +29,11 @@ import json
 import sys
 import threading
 import traceback
-from collections import deque
 from pathlib import Path
 
 __all__ = [
     "CRASH_BUNDLE_FILENAME",
-    "FlightRecorder",
+    "DECISION_TAIL",
     "build_crash_bundle",
     "dump_crash_bundle",
     "load_crash_bundle",
@@ -49,82 +41,8 @@ __all__ = [
 
 CRASH_BUNDLE_FILENAME = "crash_bundle.json"
 
-#: default entries kept per ring; large enough to cover the tail of a
-#: failing run (hundreds of decisions) while bounding memory.
-DEFAULT_RING_SIZE = 256
-
-
-class FlightRecorder:
-    """Bounded ring buffers of the most recent engine activity.
-
-    Four rings, each a ``deque(maxlen=ring_size)``:
-
-    * ``events`` — lifecycle landmarks (phase starts/ends, pool kills,
-      lane deaths) as ``{"seq", "event", ...fields}``;
-    * ``decisions`` — the last N merge/defer decisions from
-      ``_process`` (recorded unconditionally, independent of the
-      provenance sink, so a crash bundle always carries the decision
-      tail even on runs without ``--provenance``);
-    * ``chunks`` — supervised chunk timings;
-    * ``degradations`` — every :class:`DegradationEvent` the engine
-      recorded.
-
-    A single monotone ``seq`` stamps entries across all four rings, so
-    the bundle preserves the interleaved order of what happened last.
-    """
-
-    __slots__ = ("ring_size", "events", "decisions", "chunks", "degradations", "_seq")
-
-    def __init__(self, ring_size: int = DEFAULT_RING_SIZE) -> None:
-        self.ring_size = int(ring_size)
-        self.events: deque = deque(maxlen=self.ring_size)
-        self.decisions: deque = deque(maxlen=self.ring_size)
-        self.chunks: deque = deque(maxlen=self.ring_size)
-        self.degradations: deque = deque(maxlen=self.ring_size)
-        self._seq = 0
-
-    def _next(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def note_event(self, event: str, **fields) -> None:
-        entry = {"seq": self._next(), "event": event}
-        if fields:
-            entry.update(fields)
-        self.events.append(entry)
-
-    def note_decision(self, pair, class_name: str, decision: str, score) -> None:
-        self.decisions.append(
-            {
-                "seq": self._next(),
-                "pair": list(pair),
-                "class": class_name,
-                "decision": decision,
-                "score": None if score is None else round(float(score), 6),
-            }
-        )
-
-    def note_chunk(self, lane: str, seconds: float, **fields) -> None:
-        entry = {"seq": self._next(), "lane": lane, "seconds": round(seconds, 6)}
-        if fields:
-            entry.update(fields)
-        self.chunks.append(entry)
-
-    def note_degradation(self, kind: str, detail: str) -> None:
-        self.degradations.append(
-            {"seq": self._next(), "kind": kind, "detail": detail}
-        )
-
-    def snapshot(self) -> dict:
-        """JSON-able copy of all rings (oldest first within each)."""
-        return {
-            "ring_size": self.ring_size,
-            "noted": self._seq,
-            "events": list(self.events),
-            "decisions": list(self.decisions),
-            "chunks": list(self.chunks),
-            "degradations": list(self.degradations),
-        }
+#: decision records a bundle carries from the end of the provenance log.
+DECISION_TAIL = 256
 
 
 def _thread_stacks() -> dict:
@@ -164,13 +82,14 @@ def build_crash_bundle(
     """Assemble (but do not write) a crash bundle.
 
     *engine* contributes its config fingerprint, partial stats and the
-    flight-recorder rings; *relay* contributes the worker-lane rings it
-    retained from shipped payloads.  Every part is optional so the
-    dumper works however little survived the failure.
+    tail of its provenance log (empty without a provenance sink);
+    *relay* (by default the engine's) contributes the lane deaths it
+    attributed. Every part is optional so the dumper works however
+    little survived the failure.
     """
     config: dict = {}
     stats: dict = {}
-    rings = FlightRecorder(ring_size=0).snapshot()
+    decisions: list = []
     if engine is not None:
         # Lazy: repro.obs loads during engine import; checkpoint pulls
         # the engine back in (cycle otherwise).
@@ -179,19 +98,16 @@ def build_crash_bundle(
 
         config = config_fingerprint(engine.config)
         stats = asdict(engine.stats)
-        flight = getattr(engine, "flight", None)
-        if flight is not None:
-            rings = flight.snapshot()
+        provenance = engine.telemetry.provenance
+        if provenance is not None:
+            decisions = [
+                record.to_dict() for record in provenance.records[-DECISION_TAIL:]
+            ]
         if relay is None:
             relay = getattr(engine, "_relay", None)
-    worker_lanes = {"lanes": {}, "deaths": []}
-    if relay is not None:
-        worker_lanes = {
-            "lanes": relay.recent_lanes(),
-            "deaths": [dict(death) for death in relay.lane_deaths],
-        }
+    lane_deaths = [] if relay is None else [dict(death) for death in relay.lane_deaths]
     return {
-        "bundle_version": 1,
+        "bundle_version": 2,
         "kind": "repro_crash_bundle",
         "reason": str(reason),
         "phase": phase,
@@ -199,9 +115,9 @@ def build_crash_bundle(
         "exception": _exception_info(exc),
         "config": config,
         "stats": stats,
-        "rings": rings,
+        "decisions": decisions,
+        "lane_deaths": lane_deaths,
         "stacks": _thread_stacks(),
-        "worker_lanes": worker_lanes,
     }
 
 
@@ -221,7 +137,7 @@ def dump_crash_bundle(run_dir, bundle: dict) -> Path:
     run_dir.mkdir(parents=True, exist_ok=True)
     path = run_dir / CRASH_BUNDLE_FILENAME
     # default=repr: a crash dumper must never itself crash on an exotic
-    # value smuggled into a ring entry.
+    # value smuggled into the stats or a decision record.
     atomic_write_text(
         path, json.dumps(bundle, indent=2, sort_keys=True, default=repr) + "\n"
     )

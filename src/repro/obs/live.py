@@ -1,24 +1,15 @@
-"""Live run monitoring: the ``--live`` stderr HUD and ``repro watch``.
+"""Live run monitoring: ``repro watch``.
 
-Two windows into a running (or finished) reconciliation, both built
-from pure, byte-stable renderers in the :mod:`repro.obs.render`
-style so golden tests can pin their output:
-
-* :class:`LiveHud` — installed as the engine's ``step_hook`` by the
-  CLI's ``--live`` flag. It redraws one stderr line in place
-  (``\\r`` + erase-to-end) with the current phase, queue depth,
-  merges, the iterate-path cache hit rate and an ETA extrapolated
-  from its own queue-drain samples (the same convergence signal the
-  manifest samples record). The hook only *reads* engine state —
-  queue length and stats counters — so a ``--live`` run stays
-  byte-identical to a silent one.
-* ``repro watch <run_dir>`` — tails the run's ``events.jsonl``
-  (which ``--run-dir`` now writes by default) and renders a snapshot
-  of a *concurrent or finished* run from the event stream alone:
-  no engine access, works across processes and after the fact.
-  ``--once`` prints one multi-line snapshot and exits; without it
-  the watcher follows the file like ``tail -f``, redrawing a HUD
-  line until ``run_end`` arrives.
+``repro watch <run_dir>`` tails the run's ``events.jsonl`` (which
+``--run-dir`` writes by default) and renders a snapshot of a
+*concurrent or finished* run from the event stream alone: no engine
+access, works across processes and after the fact. The engine emits
+``iterate_progress`` every 1,000 iterate steps at the default ``info``
+level, so a long run shows how far along it is. ``--once`` prints one
+multi-line snapshot and exits; without it the watcher follows the file
+like ``tail -f``, redrawing a HUD line until ``run_end`` arrives. The
+renderers are pure and byte-stable in the :mod:`repro.obs.render`
+style, so golden tests can pin their output.
 """
 
 from __future__ import annotations
@@ -26,11 +17,9 @@ from __future__ import annotations
 import json
 import sys
 import time
-from collections import deque
 from pathlib import Path
 
 __all__ = [
-    "LiveHud",
     "render_hud",
     "render_watch",
     "watch_snapshot",
@@ -43,29 +32,10 @@ def _fmt_count(value) -> str:
     return "?" if value is None else f"{value:,}"
 
 
-def _fmt_eta(seconds) -> str:
-    if seconds is None:
-        return "--"
-    seconds = max(0, int(seconds))
-    if seconds < 90:
-        return f"{seconds}s"
-    minutes, rest = divmod(seconds, 60)
-    return f"{minutes}m{rest:02d}s"
-
-
-def render_hud(
-    *,
-    phase: str,
-    step=None,
-    queued=None,
-    merges=None,
-    hit_rate=None,
-    eta=None,
-) -> str:
+def render_hud(*, phase: str, step=None, queued=None, merges=None) -> str:
     """One status line; every part is optional except the phase.
 
-    ``hit_rate`` is a 0..1 float or ``None``; ``eta`` is seconds or
-    ``None``. Pure and byte-stable: same inputs, same string.
+    Pure and byte-stable: same inputs, same string.
     """
     parts = [f"[{phase}]"]
     if step is not None:
@@ -74,96 +44,7 @@ def render_hud(
         parts.append(f"queued {_fmt_count(queued)}")
     if merges is not None:
         parts.append(f"merges {_fmt_count(merges)}")
-    if hit_rate is not None:
-        parts.append(f"cache {hit_rate * 100:.1f}%")
-    if eta is not None or phase == "iterate":
-        parts.append(f"eta {_fmt_eta(eta)}")
     return " · ".join(parts)
-
-
-class LiveHud:
-    """In-place stderr HUD driven by the engine's ``step_hook`` seam.
-
-    *stream* and *clock* are injectable for deterministic tests; the
-    default redraw throttle is 5 Hz so the HUD costs nothing
-    measurable against a loop doing real work.
-    """
-
-    def __init__(
-        self,
-        stream=None,
-        *,
-        interval: float = 0.2,
-        clock=time.monotonic,
-        sample_window: int = 64,
-    ) -> None:
-        self._stream = stream if stream is not None else sys.stderr
-        self._interval = interval
-        self._clock = clock
-        self._samples: deque = deque(maxlen=sample_window)
-        self._last_draw: float | None = None
-        self._phase = "starting"
-        self._drawn = False
-
-    # -- engine hooks ---------------------------------------------------
-    def phase(self, name: str) -> None:
-        """Announce a phase with no step counters yet (build, done)."""
-        self._phase = name
-        self._draw(render_hud(phase=name))
-
-    def step_hook(self, engine, step: int) -> None:
-        """The ``Reconciler.run(step_hook=...)`` callback: read-only."""
-        self._phase = "iterate"
-        now = self._clock()
-        queued = len(engine.queue)
-        self._samples.append((now, queued))
-        if self._last_draw is not None and now - self._last_draw < self._interval:
-            return
-        self._last_draw = now
-        stats = engine.stats
-        hits = stats.values_cache_hits + stats.contacts_cache_hits
-        misses = stats.values_cache_misses + stats.contacts_cache_misses
-        self._draw(
-            render_hud(
-                phase="iterate",
-                step=step,
-                queued=queued,
-                merges=stats.merges,
-                hit_rate=hits / (hits + misses) if hits + misses else None,
-                eta=self._eta(queued),
-            )
-        )
-
-    def _eta(self, queued: int):
-        """Seconds until the queue drains at the sampled net rate.
-
-        Extrapolates from the oldest and newest samples in the window;
-        a growing queue (enrichment storm) yields ``None`` ("--") —
-        honest, since no finish time can be projected from it.
-        """
-        if len(self._samples) < 2:
-            return None
-        t_old, q_old = self._samples[0]
-        t_new, q_new = self._samples[-1]
-        if t_new <= t_old:
-            return None
-        rate = (q_old - q_new) / (t_new - t_old)
-        if rate <= 0:
-            return None
-        return queued / rate
-
-    # -- drawing --------------------------------------------------------
-    def _draw(self, line: str) -> None:
-        self._stream.write("\r" + line + "\x1b[K")
-        self._stream.flush()
-        self._drawn = True
-
-    def close(self) -> None:
-        """Finish the HUD line so later stderr output starts clean."""
-        if self._drawn:
-            self._stream.write("\n")
-            self._stream.flush()
-            self._drawn = False
 
 
 # ----------------------------------------------------------------------

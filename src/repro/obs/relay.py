@@ -7,18 +7,18 @@ parent and are not shareable across ``fork``. The relay bridges that
 gap without any extra IPC channel:
 
 * A :class:`WorkerTelemetry` recorder is installed in each pool worker
-  by ``_init_worker``. It buffers spans, counters, histogram
-  observations and events **locally** — plain lists and dicts, no
-  locks, no sockets.
+  by ``_init_worker``. It buffers spans, counters and histogram
+  observations **locally** — plain lists and dicts, no locks, no
+  sockets.
 * :meth:`WorkerTelemetry.drain` turns the buffers into one picklable
   payload dict (or ``None`` when nothing was recorded) and clears
   them; the payload piggybacks on the chunk result (the pool's return
   value), so shipping telemetry costs zero additional round-trips.
 * The parent's :class:`TelemetryRelay` absorbs payloads into the real
   sinks: spans become foreign-lane trace events with the worker's
-  true ``pid``/``tid`` plus ``process_name`` metadata, counters and
-  observations fold into the metrics registry, and events append to
-  the JSONL log stamped with the worker's pid.
+  true ``pid``/``tid`` plus ``process_name`` metadata, and counters
+  and observations fold into the metrics registry. Lane deaths
+  (:meth:`TelemetryRelay.lane_died`) land in all three parent sinks.
 
 **Clock alignment.** Workers record *absolute* ``time.perf_counter``
 readings. On Linux that clock is ``CLOCK_MONOTONIC``, which is
@@ -40,8 +40,6 @@ counters are byte-identical with the relay on or off.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 __all__ = ["WorkerTelemetry", "TelemetryRelay", "WORKER_METRIC_HELP"]
 
@@ -81,7 +79,7 @@ class WorkerTelemetry:
     tracer epoch.
     """
 
-    __slots__ = ("pid", "tid", "process_name", "spans", "counters", "observations", "events")
+    __slots__ = ("pid", "tid", "process_name", "spans", "counters", "observations")
 
     def __init__(self, process_name: str) -> None:
         import os
@@ -93,7 +91,6 @@ class WorkerTelemetry:
         self.spans: list[tuple] = []
         self.counters: dict[str, float] = {}
         self.observations: dict[str, list[float]] = {}
-        self.events: list[tuple] = []
 
     def pair_stats(self) -> _WorkerStats:
         """A fresh memo-counter sink for ``pair_evidence(stats=...)``."""
@@ -112,9 +109,6 @@ class WorkerTelemetry:
     def observe(self, name: str, value: float) -> None:
         self.observations.setdefault(name, []).append(value)
 
-    def emit(self, level: str, event: str, **fields) -> None:
-        self.events.append((level, event, fields))
-
     def absorb_pair_stats(self, stats: _WorkerStats) -> None:
         self.count("repro_worker_pair_memo_hits_total", stats.pair_memo_hits)
         self.count("repro_worker_pair_memo_misses_total", stats.pair_memo_misses)
@@ -126,7 +120,7 @@ class WorkerTelemetry:
         Clears the buffers: pool workers persist across chunks, so each
         chunk ships only its own delta.
         """
-        if not (self.spans or self.counters or self.observations or self.events):
+        if not (self.spans or self.counters or self.observations):
             return None
         payload = {
             "pid": self.pid,
@@ -135,20 +129,11 @@ class WorkerTelemetry:
             "spans": self.spans,
             "counters": self.counters,
             "observations": self.observations,
-            "events": self.events,
         }
         self.spans = []
         self.counters = {}
         self.observations = {}
-        self.events = []
         return payload
-
-
-#: bounds on the crash-bundle lane retention: how many lanes keep a
-#: ring (least-recently-shipping evicted first) and how many payload
-#: digests each ring holds.
-_MAX_LANE_RINGS = 32
-_LANE_RING_DEPTH = 8
 
 
 class TelemetryRelay:
@@ -162,7 +147,6 @@ class TelemetryRelay:
         "lane_names",
         "counters",
         "lane_deaths",
-        "lane_rings",
     )
 
     def __init__(self, telemetry) -> None:
@@ -173,9 +157,6 @@ class TelemetryRelay:
         self.lane_names: dict[int, str] = {}
         self.counters: dict[str, float] = {}
         self.lane_deaths: list[dict] = []
-        #: pid -> deque of compact per-payload digests, for crash
-        #: bundles: the last few things each worker lane shipped.
-        self.lane_rings: dict[int, object] = {}
 
     @classmethod
     def for_telemetry(cls, telemetry) -> "TelemetryRelay | None":
@@ -199,7 +180,6 @@ class TelemetryRelay:
         tid = payload["tid"]
         if pid not in self.lane_names:
             self.lane_names[pid] = payload["process_name"]
-        self._retain(pid, payload)
         for name, amount in payload["counters"].items():
             self.counters[name] = self.counters.get(name, 0) + amount
         tracer = self._tracer
@@ -225,49 +205,6 @@ class TelemetryRelay:
                 histogram = metrics.histogram(name, _OBSERVATION_HELP.get(name, ""))
                 for value in values:
                     histogram.observe(value)
-        log = self._log
-        if log is not None:
-            for level, event, fields in payload["events"]:
-                log.emit(level, event, pid=pid, **fields)
-
-    def _retain(self, pid: int, payload: dict) -> None:
-        """Keep a compact digest of this payload in the pid's lane ring.
-
-        Rings exist for crash bundles only: when a run dies, the bundle
-        ships the last few things every (recently active) worker lane
-        reported. Lanes are evicted least-recently-shipping first so a
-        run that rebuilds its pool many times stays bounded.
-        """
-        ring = self.lane_rings.pop(pid, None)
-        if ring is None:
-            ring = deque(maxlen=_LANE_RING_DEPTH)
-            while len(self.lane_rings) >= _MAX_LANE_RINGS:
-                self.lane_rings.pop(next(iter(self.lane_rings)))
-        # pop + reinsert keeps insertion order == recency order.
-        self.lane_rings[pid] = ring
-        ring.append(
-            {
-                "spans": [name for name, *_ in payload["spans"]][-6:],
-                "events": [
-                    [level, event] for level, event, _ in payload["events"]
-                ][-6:],
-                "counters": {
-                    name: round(value, 6)
-                    for name, value in sorted(payload["counters"].items())
-                },
-            }
-        )
-
-    def recent_lanes(self) -> dict:
-        """JSON-able lane rings for a crash bundle: pid (as string) to
-        process name plus its retained payload digests."""
-        return {
-            str(pid): {
-                "process_name": self.lane_names.get(pid, "worker"),
-                "recent": list(ring),
-            }
-            for pid, ring in sorted(self.lane_rings.items())
-        }
 
     def lane_died(self, pid: int | None, reason: str, *, lane: str = "scoring worker") -> None:
         """Attribute a supervision intervention to the lane that died.

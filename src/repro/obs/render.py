@@ -231,7 +231,7 @@ def _doctor_hints(bundle: dict | None, manifest: dict | None) -> list:
     kinds = set()
     if bundle is not None:
         kinds.update(
-            entry.get("kind") for entry in bundle["rings"]["degradations"]
+            entry.get("kind") for entry in bundle["stats"].get("degradations", [])
         )
     if manifest is not None:
         kinds.update(
@@ -240,10 +240,10 @@ def _doctor_hints(bundle: dict | None, manifest: dict | None) -> list:
     hints = []
     if bundle is not None and bundle.get("exception") is not None:
         hints.append(
-            "an unhandled exception ended the run; the decisions ring in "
+            "an unhandled exception ended the run; the decisions tail in "
             "crash_bundle.json shows the last work before it"
         )
-    if bundle is not None and bundle["worker_lanes"]["deaths"]:
+    if bundle is not None and bundle["lane_deaths"]:
         hints.append(
             "worker processes died under supervision; rerun with --workers 1 "
             "to isolate the fault, and check memory limits"
@@ -319,39 +319,26 @@ def render_doctor(bundle: dict | None, manifest: dict | None = None) -> str:
     exception = bundle.get("exception")
     if exception is not None:
         lines.append(f"  exception: {exception['type']}: {exception['message']}")
-    rings = bundle["rings"]
-    degradations = rings["degradations"]
+    degradations = bundle["stats"].get("degradations", [])
     if degradations:
         lines.append(f"  degradations ({len(degradations)} recorded):")
         for entry in degradations[-5:]:
             lines.append(f"    [{entry.get('kind')}] {entry.get('detail', '')}")
-    decisions = rings["decisions"]
+    decisions = bundle["decisions"]
     if decisions:
         shown = decisions[-5:]
         lines.append(
             f"  last decisions ({len(shown)} of {len(decisions)} retained):"
         )
         for entry in shown:
-            score = entry.get("score")
-            score_text = "n/a" if score is None else f"{score:.4f}"
             lines.append(
-                f"    {_pair(entry['pair'])} [{entry.get('class')}] "
-                f"{entry.get('decision')} score={score_text}"
+                f"    {_pair(entry['pair'])} [{entry['class_name']}] "
+                f"{entry['decision']} score={entry['score']:.4f}"
             )
-    chunks = rings["chunks"]
-    if chunks:
-        slowest = max(chunks, key=lambda entry: (entry["seconds"], entry["seq"]))
-        lines.append(
-            f"  chunks: {len(chunks)} retained, slowest "
-            f"{slowest['lane']} {slowest['seconds']:.3f}s"
-        )
-    lanes = bundle["worker_lanes"]
-    if lanes["lanes"] or lanes["deaths"]:
-        lines.append(
-            f"  worker lanes: {len(lanes['lanes'])} with retained rings, "
-            f"{len(lanes['deaths'])} death(s)"
-        )
-        for death in lanes["deaths"][-5:]:
+    deaths = bundle["lane_deaths"]
+    if deaths:
+        lines.append(f"  lane deaths ({len(deaths)} recorded):")
+        for death in deaths[-5:]:
             lines.append(
                 f"    died: {death.get('lane', 'worker')} "
                 f"pid={death.get('pid')}: {death.get('reason')}"

@@ -497,9 +497,9 @@ def _poison_section(poisoned: list[dict] | None) -> str:
     if poisoned is None:
         return (
             '<div class="card"><p class="note">No poisoned-pair log recorded '
-            "for this run — quarantine table unavailable. Parallel builds "
-            "(<code>--workers N</code> with <code>--run-dir</code>) record "
-            "one automatically.</p></div>"
+            "for this run — no pair was quarantined. Parallel builds "
+            "(<code>--workers N</code> with <code>--run-dir</code>) write "
+            "one when a pair keeps failing to score.</p></div>"
         )
     if not poisoned:
         return (

@@ -117,18 +117,19 @@ MANIFEST_SCHEMA = {
     },
 }
 
-#: Crash bundle (``crash_bundle.json``) dumped by the flight recorder
-#: when a run dies or degrades. ``rings`` holds the recorder's four
-#: ring buffers, ``stacks`` per-thread formatted stacks, and
-#: ``worker_lanes`` the relay's retained lane rings + lane deaths.
+#: Crash bundle (``crash_bundle.json``) dumped when a ``--run-dir`` run
+#: dies or degrades. ``stats`` carries the degradations, ``decisions``
+#: the tail of the provenance log (each a :data:`DECISION_SCHEMA`
+#: record), ``lane_deaths`` the relay's lane deaths, and ``stacks``
+#: per-thread formatted stacks.
 CRASH_BUNDLE_SCHEMA = {
     "type": "object",
     "required": [
         "bundle_version", "kind", "reason", "phase", "stop_reason",
-        "exception", "config", "stats", "rings", "stacks", "worker_lanes",
+        "exception", "config", "stats", "decisions", "lane_deaths", "stacks",
     ],
     "properties": {
-        "bundle_version": {"const": 1},
+        "bundle_version": {"const": 2},
         "kind": {"const": "repro_crash_bundle"},
         "reason": {"type": "string"},
         "phase": {"type": ["string", "null"]},
@@ -139,11 +140,9 @@ CRASH_BUNDLE_SCHEMA = {
         },
         "config": {"type": "object"},
         "stats": {"type": "object"},  # partial EngineStats (asdict)
-        "rings": {
-            "required": ["ring_size", "events", "decisions", "chunks", "degradations"]
-        },
+        "decisions": {"type": "array"},  # DecisionRecord.to_dict() tail
+        "lane_deaths": {"type": "array"},  # {"pid", "reason", "lane"}
         "stacks": {"type": "object"},  # "tid (name)" -> [frame lines]
-        "worker_lanes": {"required": ["lanes", "deaths"]},
     },
 }
 
@@ -452,7 +451,7 @@ def validate_crash_bundle(obj: dict) -> None:
     for key in CRASH_BUNDLE_SCHEMA["required"]:
         _require(key in obj, f"crash bundle missing required field {key!r}")
     _require(
-        obj["bundle_version"] == 1,
+        obj["bundle_version"] == 2,
         f"unsupported bundle_version {obj['bundle_version']!r}",
     )
     _require(
@@ -479,18 +478,20 @@ def validate_crash_bundle(obj: dict) -> None:
         )
     for key in ("config", "stats"):
         _require(isinstance(obj[key], dict), f"crash bundle {key} must be an object")
-    rings = obj["rings"]
-    _require(isinstance(rings, dict), "crash bundle rings must be an object")
-    for ring in ("events", "decisions", "chunks", "degradations"):
-        _require(ring in rings, f"crash bundle rings missing {ring!r}")
-        _require(
-            isinstance(rings[ring], list),
-            f"crash bundle ring {ring!r} must be a list",
-        )
     _require(
-        isinstance(rings.get("ring_size"), int),
-        "crash bundle rings.ring_size must be an integer",
+        isinstance(obj["decisions"], list), "crash bundle decisions must be a list"
     )
+    for record in obj["decisions"]:
+        validate_decision(record)
+    _require(
+        isinstance(obj["lane_deaths"], list),
+        "crash bundle lane_deaths must be a list",
+    )
+    for death in obj["lane_deaths"]:
+        _require(
+            isinstance(death, dict) and {"pid", "reason", "lane"} <= set(death),
+            f"crash bundle lane death needs pid, reason and lane: {death!r}",
+        )
     stacks = obj["stacks"]
     _require(isinstance(stacks, dict), "crash bundle stacks must be an object")
     for thread, lines in stacks.items():
@@ -499,18 +500,6 @@ def validate_crash_bundle(obj: dict) -> None:
             and all(isinstance(line, str) for line in lines),
             f"crash bundle stack for {thread!r} must be a list of strings",
         )
-    lanes = obj["worker_lanes"]
-    _require(isinstance(lanes, dict), "crash bundle worker_lanes must be an object")
-    for key in ("lanes", "deaths"):
-        _require(key in lanes, f"crash bundle worker_lanes missing {key!r}")
-    _require(
-        isinstance(lanes["lanes"], dict),
-        "crash bundle worker_lanes.lanes must be an object",
-    )
-    _require(
-        isinstance(lanes["deaths"], list),
-        "crash bundle worker_lanes.deaths must be a list",
-    )
 
 
 def unescape_label_value(value: str) -> str:

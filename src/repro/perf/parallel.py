@@ -12,27 +12,22 @@ Channels hold comparator closures and are not picklable, so workers
 are handed a *domain spec* (``module:qualname``) at pool start-up,
 rebuild the domain themselves, and select channels by name per chunk.
 Domains that cannot be rebuilt that way (defined in a test function,
-needing constructor arguments) make :class:`ParallelScorer` raise at
-construction; the engine records a ``parallel_fallback`` degradation
-and runs serially.
+needing constructor arguments) make the pool refuse construction; the
+engine records a ``parallel_fallback`` degradation and runs serially.
 
-:class:`ParallelScorer` is the *unsupervised* pool: one failure in any
-chunk aborts the whole ``score`` call (after shutting the pool down,
-so no worker ever leaks). The retrying, bisecting, ladder-degrading
-wrapper lives in :mod:`repro.runtime.supervisor` and reuses this
-module's chunking and worker entry points.
+The pool itself — retrying, bisecting, ladder-degrading — lives in
+:mod:`repro.runtime.supervisor`; this module holds the chunking and
+the worker entry points it runs.
 """
 
 from __future__ import annotations
 
 import importlib
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .scoring import pair_evidence
 
-__all__ = ["ParallelScorer", "domain_spec", "make_chunks"]
+__all__ = ["domain_spec", "make_chunks"]
 
 
 def domain_spec(domain) -> str | None:
@@ -160,74 +155,3 @@ def _score_chunk(payload):
     recorder.absorb_pair_stats(stats)
     recorder.observe("repro_worker_chunk_seconds", duration)
     return results, recorder.drain()
-
-
-class ParallelScorer:
-    """A process pool scoring candidate pairs for the engine.
-
-    ``score`` preserves input order exactly: chunk *k*'s results come
-    back before chunk *k+1*'s regardless of which worker finished
-    first, so the engine can zip results with pairs. Any failure shuts
-    the pool down before the exception propagates — a failed build
-    never leaks worker processes. The scorer is also a context manager
-    for the same reason.
-    """
-
-    def __init__(self, domain, workers: int, *, chaos=None, relay=None) -> None:
-        spec = domain_spec(domain)
-        if spec is None:
-            raise ValueError(
-                f"domain {type(domain).__qualname__} is not reconstructible "
-                "in worker processes (needs a module-level class with a "
-                "no-argument constructor)"
-            )
-        if workers < 2:
-            raise ValueError("ParallelScorer needs at least 2 workers")
-        self.workers = workers
-        self._relay = relay
-        try:
-            # fork shares the already-imported interpreter state; spawn
-            # (the only option on some platforms) re-imports per worker.
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            context = multiprocessing.get_context()
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(spec, chaos, relay is not None),
-        )
-
-    def __enter__(self) -> "ParallelScorer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
-
-    def score(
-        self,
-        class_name: str,
-        channel_names: tuple[str, ...],
-        pairs: list[tuple[str, str]],
-        values: dict[str, dict[str, tuple[str, ...]]],
-    ) -> list[list[tuple[str, str, str, float]]]:
-        """Evidence lists for *pairs*, in the same order as *pairs*."""
-        if not pairs:
-            return []
-        try:
-            # A few chunks per worker smooths out uneven chunk costs
-            # without drowning the pool in pickling overhead.
-            chunk_count = min(len(pairs), self.workers * 4)
-            chunks = make_chunks(class_name, channel_names, pairs, values, chunk_count)
-            results: list[list[tuple[str, str, str, float]]] = []
-            for chunk_result, telemetry_payload in self._pool.map(_score_chunk, chunks):
-                if telemetry_payload is not None and self._relay is not None:
-                    self._relay.absorb(telemetry_payload)
-                results.extend(chunk_result)
-            return results
-        except BaseException:
-            self.shutdown()
-            raise
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)

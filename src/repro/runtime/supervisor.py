@@ -1,12 +1,12 @@
 """Supervised execution of parallel scoring: retries, deadlines,
 poisoned-pair quarantine, and a degradation ladder.
 
-:class:`~repro.perf.parallel.ParallelScorer` is fast but brittle: one
-worker crash, hang, or comparator exception aborts the whole build.
-:class:`SupervisedScorer` keeps the exact same interface (and the
-exact same chunk boundaries, so results stay byte-identical to a
-serial build) while containing every failure to the work unit that
-caused it:
+A bare process pool is fast but brittle: one worker crash, hang, or
+comparator exception would abort the whole build.
+:class:`SupervisedScorer` scores the chunks of
+:mod:`repro.perf.parallel` (whose boundaries keep results
+byte-identical to a serial build) while containing every failure to
+the work unit that caused it:
 
 * each chunk of an optimistic parallel pass that fails is re-executed
   under a :class:`RetryPolicy` — exponential backoff with seeded
@@ -75,16 +75,16 @@ class RetryPolicy:
 
 
 class SupervisedScorer:
-    """Drop-in replacement for :class:`ParallelScorer` with supervision.
+    """The build's worker pool for candidate-pair scoring, supervised.
 
-    Same constructor contract: raises ``ValueError`` when the domain is
-    not rebuildable in workers or ``workers < 2`` (the engine records a
-    ``parallel_fallback`` degradation and runs serially). *telemetry*
-    is an optional :class:`~repro.obs.telemetry.Telemetry`; *on_degrade*
-    an optional callback receiving each
-    :class:`~repro.runtime.guards.DegradationEvent`; *poison_path* the
-    JSONL file poisoned pairs are quarantined to; *chaos* an opaque
-    fault injector forwarded to workers (tests / soak harness only).
+    Raises ``ValueError`` when the domain is not rebuildable in workers
+    or ``workers < 2`` (the engine records a ``parallel_fallback``
+    degradation and runs serially). *telemetry* is an optional
+    :class:`~repro.obs.telemetry.Telemetry`; *on_degrade* an optional
+    callback receiving each :class:`~repro.runtime.guards.DegradationEvent`;
+    *poison_path* the JSONL file poisoned pairs are quarantined to;
+    *chaos* an opaque fault injector forwarded to workers (tests / soak
+    harness only).
     """
 
     def __init__(
@@ -98,7 +98,6 @@ class SupervisedScorer:
         poison_path: str | Path | None = None,
         chaos=None,
         relay=None,
-        flight=None,
     ) -> None:
         spec = domain_spec(domain)
         if spec is None:
@@ -119,9 +118,6 @@ class SupervisedScorer:
         # Cross-process telemetry relay (obs.relay.TelemetryRelay) or
         # None; workers record spans/counters only when it is attached.
         self._relay = relay
-        # Engine flight recorder (obs.flight.FlightRecorder) or None;
-        # chunk timings and pool teardowns land in its rings.
-        self._flight = flight
         metrics = getattr(telemetry, "metrics", None)
         self._chunk_hist = (
             metrics.histogram(
@@ -215,8 +211,6 @@ class SupervisedScorer:
         pool, self._pool = self._pool, None
         if pool is None:
             return
-        if self._flight is not None and reason is not None:
-            self._flight.note_event("pool_kill", reason=reason)
         try:
             processes = list(getattr(pool, "_processes", {}).values())
         except Exception:  # pragma: no cover - interpreter internals moved
@@ -310,10 +304,6 @@ class SupervisedScorer:
             self._relay.absorb(telemetry_payload)
         if self._chunk_hist is not None:
             self._chunk_hist.observe(elapsed)
-        if self._flight is not None:
-            self._flight.note_chunk(
-                "build pool", elapsed, pairs=len(chunk_result)
-            )
         return chunk_result
 
     def _optimistic(self, chunks: list, results: list) -> list[int]:
@@ -492,8 +482,6 @@ class SupervisedScorer:
         elapsed = time.perf_counter() - started
         if self._chunk_hist is not None:
             self._chunk_hist.observe(elapsed)
-        if self._flight is not None:
-            self._flight.note_chunk("build serial", elapsed, pairs=len(out))
         return out
 
     # -- poisoning ------------------------------------------------------

@@ -230,3 +230,37 @@ class TestRunDir:
         code = main(["explain", str(dataset_dir), "x", "y", "--run", str(bare)])
         assert code == 2
         assert "provenance" in capsys.readouterr().err
+
+
+class TestPoisonLogArtifact:
+    STALE = {"pair": ["stale-left", "stale-right"], "class": "Person",
+             "reason": "from an earlier run"}
+
+    def _seed_stale_log(self, directory):
+        directory.mkdir()
+        (directory / "poisoned_pairs.jsonl").write_text(
+            json.dumps(self.STALE) + "\n"
+        )
+
+    def test_fresh_run_drops_a_stale_poison_log(self, dataset_dir, tmp_path):
+        directory = tmp_path / "run"
+        self._seed_stale_log(directory)
+        assert main(["evaluate", str(dataset_dir), "--run-dir", str(directory)]) == 0
+        assert not (directory / "poisoned_pairs.jsonl").exists()
+        manifest = json.loads((directory / "run.json").read_text())
+        assert "poison_log" not in manifest["artifacts"]
+        assert main(["report", str(directory)]) == 0
+        html = (directory / "report.html").read_text()
+        assert "stale-left" not in html
+        assert "No poisoned-pair log recorded" in html
+
+    def test_clean_parallel_run_records_no_poison_log(self, dataset_dir, tmp_path):
+        directory = tmp_path / "run"
+        code = main([
+            "evaluate", str(dataset_dir), "--run-dir", str(directory),
+            "--workers", "2",
+        ])
+        assert code == 0
+        assert not (directory / "poisoned_pairs.jsonl").exists()
+        manifest = json.loads((directory / "run.json").read_text())
+        assert "poison_log" not in manifest["artifacts"]

@@ -21,6 +21,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import load_crash_bundle, validate_crash_bundle
+from repro.obs.flight import DECISION_TAIL
 from repro.obs.live import read_events
 from repro.obs.render import render_doctor, render_hotspots
 
@@ -80,50 +81,43 @@ hotspot attribution (sketch capacity 128, 42 pair timings, error bound 0.000123s
     name  120
     email  30"""
 
+def _decision(seq, pair, decision, score):
+    """A provenance record as ``DecisionRecord.to_dict()`` writes it."""
+    return {
+        "seq": seq,
+        "pair": pair,
+        "class_name": "Person",
+        "decision": decision,
+        "score": score,
+        "threshold": 0.85,
+        "s_rv": score,
+        "t_rv": 0.5,
+        "strong_support": 0,
+        "weak_support": 0,
+        "channels": {"name": score},
+        "trigger": "seed",
+        "trigger_pair": None,
+        "recompute_index": 0,
+    }
+
+
 CRASH_BUNDLE = {
-    "bundle_version": 1,
+    "bundle_version": 2,
     "kind": "repro_crash_bundle",
     "reason": "unhandled ValueError during run",
     "phase": "iterate",
     "stop_reason": None,
     "exception": {"type": "ValueError", "message": "boom", "traceback": []},
     "config": {},
-    "stats": {},
-    "rings": {
-        "ring_size": 256,
-        "noted": 9,
-        "events": [{"seq": 1, "event": "build_start"}],
-        "decisions": [
-            {
-                "seq": 5,
-                "pair": ["a", "b"],
-                "class": "Person",
-                "decision": "merge",
-                "score": 0.91,
-            },
-            {
-                "seq": 6,
-                "pair": ["a", "c"],
-                "class": "Person",
-                "decision": "defer",
-                "score": None,
-            },
-        ],
-        "chunks": [
-            {"seq": 7, "lane": "build pool", "seconds": 0.25},
-            {"seq": 8, "lane": "build pool", "seconds": 0.125},
-        ],
-        "degradations": [
-            {"seq": 9, "kind": "pool_rebuild", "detail": "worker died"}
-        ],
-    },
+    "stats": {"degradations": [{"kind": "pool_rebuild", "detail": "worker died"}]},
+    "decisions": [
+        _decision(5, ["a", "b"], "merge", 0.91),
+        _decision(6, ["a", "c"], "defer", 0.125),
+    ],
+    "lane_deaths": [
+        {"pid": 4242, "reason": "exit code -9", "lane": "scoring worker"}
+    ],
     "stacks": {},
-    "worker_lanes": {
-        "lanes": {"4242": {"process_name": "scoring worker", "recent": []}},
-        "deaths": [
-            {"pid": 4242, "reason": "exit code -9", "lane": "scoring worker"}
-        ],
-    },
 }
 
 DOCTOR_CRASHED_GOLDEN = """\
@@ -134,11 +128,10 @@ doctor: unhandled ValueError during run
     [pool_rebuild] worker died
   last decisions (2 of 2 retained):
     a <-> b [Person] merge score=0.9100
-    a <-> c [Person] defer score=n/a
-  chunks: 2 retained, slowest build pool 0.250s
-  worker lanes: 1 with retained rings, 1 death(s)
+    a <-> c [Person] defer score=0.1250
+  lane deaths (1 recorded):
     died: scoring worker pid=4242: exit code -9
-  hint: an unhandled exception ended the run; the decisions ring in crash_bundle.json shows the last work before it
+  hint: an unhandled exception ended the run; the decisions tail in crash_bundle.json shows the last work before it
   hint: worker processes died under supervision; rerun with --workers 1 to isolate the fault, and check memory limits
   hint: parallel scoring degraded (pool rebuilt or serial fallback); results are unchanged but slower
   verdict: crashed"""
@@ -158,6 +151,7 @@ class TestGoldenRenderers:
         )
 
     def test_doctor_crashed_golden(self):
+        validate_crash_bundle(CRASH_BUNDLE)  # the fixture is a real v2 bundle
         assert render_doctor(CRASH_BUNDLE) == DOCTOR_CRASHED_GOLDEN
         assert render_doctor(CRASH_BUNDLE) == render_doctor(CRASH_BUNDLE)
 
@@ -231,7 +225,7 @@ class TestDoctorExitCodes:
         validate_crash_bundle(bundle)
         assert bundle["reason"] == "degraded run: budget"
         assert bundle["stop_reason"] == "budget"
-        assert bundle["rings"]["degradations"][-1]["kind"] == "budget"
+        assert bundle["stats"]["degradations"][-1]["kind"] == "budget"
         # The bundle is a recorded artifact of the run.
         manifest = json.loads((run_dir / "run.json").read_text())
         assert manifest["artifacts"]["crash_bundle"] == "crash_bundle.json"
@@ -274,15 +268,15 @@ class TestDoctorExitCodes:
         assert bundle["reason"] == "unhandled RuntimeError during run"
         assert bundle["exception"]["type"] == "RuntimeError"
         assert bundle["phase"] == "iterate"  # the build had finished
-        assert bundle["rings"]["events"]  # build landmarks survived
+        assert bundle["stats"]["candidate_pairs"] > 0  # build counters survived
         assert main(["doctor", str(run_dir)]) == 1
 
     def test_chaos_killed_worker_dumps_bundle_with_lanes(
         self, dataset_dir, tmp_path, monkeypatch, capsys
     ):
         """The CI crash-bundle scenario: a chaos-killed build worker on a
-        parallel run leaves a schema-valid bundle carrying worker-lane
-        rings, and doctor diagnoses it nonzero."""
+        parallel run leaves a schema-valid bundle naming the dead lane,
+        and doctor diagnoses it nonzero."""
         run_dir = tmp_path / "run"
         monkeypatch.setenv("REPRO_CHAOS", '{"kill_at_chunk": 1}')
         assert (
@@ -301,13 +295,74 @@ class TestDoctorExitCodes:
         bundle = load_crash_bundle(run_dir)
         assert bundle is not None
         validate_crash_bundle(bundle)
-        kinds = {entry["kind"] for entry in bundle["rings"]["degradations"]}
-        assert kinds & {"task_retry", "pool_rebuild", "pair_poisoned"}
-        # Chunk 0's payload shipped before the chunk-1 kill, so at least
-        # one worker lane retained a ring.
-        assert bundle["worker_lanes"]["lanes"]
+        kinds = {entry["kind"] for entry in bundle["stats"]["degradations"]}
+        assert "pool_rebuild" in kinds  # the worker really died
+        # The pool teardown was attributed to the killed worker's lane.
+        assert bundle["lane_deaths"]
+        assert bundle["decisions"] == _provenance_tail(run_dir, DECISION_TAIL)
+        capsys.readouterr()
         assert main(["doctor", str(run_dir)]) == 1
-        assert "verdict: degraded" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "verdict: degraded" in out
+        # One or both workers, depending on whether the killed one was
+        # already reaped when the pool was torn down.
+        assert f"lane deaths ({len(bundle['lane_deaths'])} recorded):" in out
+
+
+def _provenance_tail(run_dir, count):
+    """The last *count* records of the run's ``provenance.jsonl``."""
+    lines = (run_dir / "provenance.jsonl").read_text().splitlines()
+    return [json.loads(line) for line in lines[-count:]]
+
+
+@pytest.fixture(scope="module")
+def tail_dataset_dir(tmp_path_factory):
+    """PIM A at scale 0.3: about 370 decisions, more than one tail."""
+    directory = tmp_path_factory.mktemp("doctor_tail") / "dataset"
+    assert main(["generate", "A", str(directory), "--scale", "0.3"]) == 0
+    return directory
+
+
+class TestBundleDecisionsAreTheProvenanceTail:
+    """Metamorphic: the bundle is assembled from the run's own
+    provenance log, so its ``decisions`` are exactly the last
+    ``DECISION_TAIL`` lines of ``provenance.jsonl`` — however the run
+    ended."""
+
+    def test_guard_tripped_run(self, tail_dataset_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        args = ["evaluate", str(tail_dataset_dir), "--run-dir", str(run_dir)]
+        assert main(args + ["--max-recomputations", "300"]) == 0
+        bundle = load_crash_bundle(run_dir)
+        assert bundle["stop_reason"] == "budget"
+        lines = (run_dir / "provenance.jsonl").read_text().splitlines()
+        assert len(lines) > DECISION_TAIL  # the tail really is a tail
+        assert bundle["decisions"] == _provenance_tail(run_dir, DECISION_TAIL)
+
+    def test_unhandled_exception_run(self, tail_dataset_dir, tmp_path, monkeypatch):
+        from repro.core import Reconciler
+
+        process = Reconciler._process
+        calls = []
+
+        def failing_process(self, node):
+            calls.append(node.key)
+            if len(calls) == 280:
+                raise RuntimeError("injected decision failure")
+            return process(self, node)
+
+        monkeypatch.setattr(Reconciler, "_process", failing_process)
+        run_dir = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="injected decision failure"):
+            main(["evaluate", str(tail_dataset_dir), "--run-dir", str(run_dir)])
+        bundle = load_crash_bundle(run_dir)
+        assert bundle["exception"]["type"] == "RuntimeError"
+        lines = (run_dir / "provenance.jsonl").read_text().splitlines()
+        assert len(lines) > DECISION_TAIL
+        assert bundle["decisions"] == _provenance_tail(run_dir, DECISION_TAIL)
+        # The failing decision was never taken, so the tail ends one
+        # pop before it.
+        assert bundle["decisions"][-1]["pair"] == list(calls[-2])
 
 
 class TestHotspotsCommand:

@@ -1,12 +1,14 @@
-"""Flight recorder, crash bundles, and heavy-hitter attribution.
+"""Crash bundles and heavy-hitter attribution.
 
 Three contracts:
 
-* the recorder and the hotspot sketch are bounded-memory and strictly
-  observational — partitions, provenance and the manifest's invariant
-  view are byte-identical with them attached (the default) or detached;
+* the hotspot sketch — the engine's always-on recorder — is
+  bounded-memory and strictly observational: partitions, provenance
+  and the manifest's invariant view are byte-identical with it
+  attached (the default) or detached;
 * crash bundles are schema-valid, atomically written, and carry the
-  rings, stacks, config fingerprint and worker-lane digests;
+  stats, the provenance tail, lane deaths, stacks and the config
+  fingerprint;
 * the Space-Saving sketch is deterministic (tie-break on key) and its
   error bound holds.
 """
@@ -24,8 +26,8 @@ from repro.datasets.cora import CoraConfig
 from repro.domains import CoraDomainModel, PimDomainModel
 from repro.obs import (
     CRASH_BUNDLE_FILENAME,
-    FlightRecorder,
     HotspotSketch,
+    SchemaError,
     SpaceSaving,
     Telemetry,
     TelemetryRelay,
@@ -37,48 +39,9 @@ from repro.obs import (
     load_crash_bundle,
     validate_crash_bundle,
 )
+from repro.obs.flight import DECISION_TAIL
 from repro.obs.metrics import MetricsRegistry
 from repro.similarity import clear_similarity_caches
-
-
-class TestFlightRecorder:
-    def test_rings_are_bounded_and_ordered(self):
-        recorder = FlightRecorder(ring_size=4)
-        for step in range(10):
-            recorder.note_event("tick", step=step)
-        assert len(recorder.events) == 4
-        # Oldest entries fell off; the survivors keep arrival order.
-        assert [entry["step"] for entry in recorder.events] == [6, 7, 8, 9]
-
-    def test_seq_is_monotone_across_rings(self):
-        recorder = FlightRecorder()
-        recorder.note_event("build_start")
-        recorder.note_decision(("a", "b"), "Person", "merge", 0.91)
-        recorder.note_chunk("build pool", 0.25, pairs=10)
-        recorder.note_degradation("deadline", "out of time")
-        snapshot = recorder.snapshot()
-        seqs = [
-            entry["seq"]
-            for ring in ("events", "decisions", "chunks", "degradations")
-            for entry in snapshot[ring]
-        ]
-        assert seqs == [1, 2, 3, 4]
-        assert snapshot["noted"] == 4
-
-    def test_decision_entry_shape(self):
-        recorder = FlightRecorder()
-        recorder.note_decision(("x", "y"), "Venue", "defer", 0.123456789)
-        recorder.note_decision(("x", "z"), "Venue", "merge", None)
-        first, second = recorder.decisions
-        assert first["pair"] == ["x", "y"]
-        assert first["score"] == 0.123457  # rounded to 6 places
-        assert second["score"] is None
-
-    def test_snapshot_is_json_serializable(self):
-        recorder = FlightRecorder()
-        recorder.note_event("iterate_start", queued=5)
-        recorder.note_chunk("iterate fork", 0.001, keys=3)
-        json.dumps(recorder.snapshot())
 
 
 class TestSpaceSaving:
@@ -264,7 +227,10 @@ class TestHotspotSketch:
 class TestCrashBundle:
     def test_bundle_from_finished_engine(self, tiny_pim_a):
         clear_similarity_caches()
-        engine = Reconciler(tiny_pim_a.store, PimDomainModel(), EngineConfig())
+        telemetry = Telemetry.enabled(provenance=True)
+        engine = Reconciler(
+            tiny_pim_a.store, PimDomainModel(), EngineConfig(), telemetry=telemetry
+        )
         engine.run()
         bundle = build_crash_bundle(
             reason="test", engine=engine, phase="iterate", stop_reason="converged"
@@ -272,10 +238,23 @@ class TestCrashBundle:
         validate_crash_bundle(bundle)
         assert bundle["config"]  # config fingerprint captured
         assert bundle["stats"]["merges"] > 0
-        assert bundle["rings"]["decisions"]  # the always-on ring was fed
-        assert bundle["rings"]["events"][0]["event"] == "build_start"
+        records = telemetry.provenance.records
+        assert len(records) > DECISION_TAIL  # the tail really is a tail
+        assert bundle["decisions"] == [
+            record.to_dict() for record in records[-DECISION_TAIL:]
+        ]
+        assert bundle["lane_deaths"] == []  # serial: no relay
         assert bundle["stacks"]  # at least the dumping thread
         assert bundle["exception"] is None
+
+    def test_bundle_without_provenance_has_no_decisions(self, tiny_pim_a):
+        clear_similarity_caches()
+        engine = Reconciler(tiny_pim_a.store, PimDomainModel(), EngineConfig())
+        engine.run()
+        bundle = build_crash_bundle(reason="test", engine=engine)
+        validate_crash_bundle(bundle)
+        assert bundle["decisions"] == []
+        assert bundle["stats"]["merges"] > 0
 
     def test_bundle_with_exception(self):
         try:
@@ -297,71 +276,37 @@ class TestCrashBundle:
         # No tmp-file debris from the atomic writer.
         assert [p.name for p in tmp_path.iterdir()] == [CRASH_BUNDLE_FILENAME]
 
-    def test_dump_survives_exotic_ring_values(self, tmp_path):
-        recorder = FlightRecorder()
-        recorder.note_event("weird", payload=object())  # not JSON-able
+    def test_dump_survives_exotic_values(self, tmp_path):
+        stats = Reconciler(
+            generate_pim_dataset("A", scale=0.05).store,
+            PimDomainModel(),
+            EngineConfig(),
+        ).stats
+        stats.per_class_nodes = {"weird": object()}  # not JSON-able
         engine = SimpleNamespace(
             config=EngineConfig(),
-            stats=Reconciler(
-                generate_pim_dataset("A", scale=0.05).store,
-                PimDomainModel(),
-                EngineConfig(),
-            ).stats,
-            flight=recorder,
+            stats=stats,
+            telemetry=Telemetry.enabled(),
             _relay=None,
         )
         bundle = build_crash_bundle(reason="exotic", engine=engine)
         path = dump_crash_bundle(tmp_path, bundle)  # default=repr saves it
         assert "<object object" in path.read_text()
 
-    def test_lane_rings_feed_worker_lanes(self):
+    def test_lane_deaths_feed_the_bundle(self):
         relay = TelemetryRelay(Telemetry.enabled(metrics=True))
-        payload = {
-            "pid": 4242,
-            "tid": 1,
-            "process_name": "scoring worker",
-            "spans": [("score_chunk", "worker", 0.0, 0.1, {})],
-            "counters": {"repro_worker_chunks_total": 1},
-            "observations": {},
-            "events": [("info", "chunk_done", {})],
-        }
-        relay.absorb(dict(payload))
         relay.lane_died(4242, "chaos", lane="scoring worker")
         bundle = build_crash_bundle(reason="collapse", relay=relay)
         validate_crash_bundle(bundle)
-        lanes = bundle["worker_lanes"]
-        assert lanes["lanes"]["4242"]["process_name"] == "scoring worker"
-        digest = lanes["lanes"]["4242"]["recent"][0]
-        assert digest["spans"] == ["score_chunk"]
-        assert digest["events"] == [["info", "chunk_done"]]
-        assert digest["counters"] == {"repro_worker_chunks_total": 1}
-        assert lanes["deaths"] == [
+        assert bundle["lane_deaths"] == [
             {"pid": 4242, "reason": "chaos", "lane": "scoring worker"}
         ]
 
-    def test_lane_ring_eviction_is_bounded(self):
-        from repro.obs.relay import _LANE_RING_DEPTH, _MAX_LANE_RINGS
-
-        relay = TelemetryRelay(Telemetry.enabled(metrics=True))
-        for pid in range(_MAX_LANE_RINGS + 10):
-            for _ in range(_LANE_RING_DEPTH + 3):
-                relay.absorb(
-                    {
-                        "pid": pid,
-                        "tid": 1,
-                        "process_name": "iterate child",
-                        "spans": [],
-                        "counters": {"c": 1},
-                        "observations": {},
-                        "events": [],
-                    }
-                )
-        assert len(relay.lane_rings) == _MAX_LANE_RINGS
-        # Least-recently-shipping lanes (the earliest pids) were evicted.
-        assert 0 not in relay.lane_rings
-        assert all(
-            len(ring) == _LANE_RING_DEPTH for ring in relay.lane_rings.values()
-        )
+    def test_validator_rejects_a_v1_bundle(self):
+        bundle = build_crash_bundle(reason="old")
+        bundle["bundle_version"] = 1
+        with pytest.raises(SchemaError, match="bundle_version"):
+            validate_crash_bundle(bundle)
 
 
 def _dataset(name):
@@ -376,14 +321,14 @@ def _dataset(name):
 
 
 def _observed_run(dataset, domain_factory, config, *, detach):
-    """One run with provenance recording; *detach* removes the recorder."""
+    """One run with provenance recording; *detach* removes the hotspot
+    sketch."""
     clear_similarity_caches()
     telemetry = Telemetry.enabled(provenance=True, metrics=True)
     engine = Reconciler(
         dataset.store, domain_factory(), config, telemetry=telemetry
     )
     if detach:
-        engine.flight = None
         engine.hotspots = None
     result = engine.run()
     decisions = [
@@ -397,8 +342,8 @@ def _observed_run(dataset, domain_factory, config, *, detach):
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "cora"])
 def test_recorder_identity_serial(name):
     """Partitions, provenance and the manifest's invariant view are
-    byte-identical with the flight recorder + hotspot sketch attached
-    (the default) or detached."""
+    byte-identical with the hotspot sketch attached (the default) or
+    detached."""
     dataset, domain_factory = _dataset(name)
     on = _observed_run(dataset, domain_factory, EngineConfig(), detach=False)
     off = _observed_run(dataset, domain_factory, EngineConfig(), detach=True)
@@ -409,8 +354,8 @@ def test_recorder_identity_serial(name):
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "cora"])
 def test_recorder_identity_parallel(name):
-    """Same contract under workers=2: the recorder observes supervised
-    chunks and lane rings without perturbing them."""
+    """Same contract under workers=2, with the relay's worker lanes
+    attached by the metrics sink."""
     dataset, domain_factory = _dataset(name)
     config = EngineConfig(workers=2)
     on = _observed_run(dataset, domain_factory, config, detach=False)
@@ -439,5 +384,4 @@ def test_engine_checkpoint_carries_no_recorder_state(tiny_pim_a):
     engine = Reconciler(tiny_pim_a.store, PimDomainModel(), EngineConfig())
     engine.run()
     state = json.dumps(engine_state(engine))
-    assert "flight" not in state
     assert "hotspot" not in state

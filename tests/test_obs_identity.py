@@ -67,13 +67,10 @@ def test_partition_identical_with_all_sinks_attached(name, tmp_path):
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "cora"])
 def test_parallel_run_identical_with_full_observability(name, tmp_path):
-    """The PR-8 contract: every observer at once — all four sinks, the
-    cross-process relay (implied by workers + telemetry), the sampling
-    profiler and the live HUD — on a parallel engine, and the partition
-    still matches a bare serial run."""
-    import io
-
-    from repro.obs.live import LiveHud
+    """Every observer at once — all four sinks, the cross-process relay
+    (implied by workers + telemetry) and the sampling profiler — on a
+    parallel engine, and the partition still matches a bare serial
+    run."""
     from repro.obs.profile import SamplingProfiler
 
     dataset, domain_factory = _dataset(name)
@@ -91,10 +88,8 @@ def test_parallel_run_identical_with_full_observability(name, tmp_path):
     engine = Reconciler(
         dataset.store, domain_factory(), config, telemetry=telemetry
     )
-    hud = LiveHud(io.StringIO(), interval=0.0)
     with SamplingProfiler(interval=0.005):
-        result = engine.run(step_hook=hud.step_hook)
-    hud.close()
+        result = engine.run()
     telemetry.close()
     assert result.partitions == baseline.partitions
     # The relay actually engaged: the build's scoring ran in workers.

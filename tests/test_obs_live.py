@@ -2,11 +2,9 @@
 
 import io
 import json
-from types import SimpleNamespace
 
 from repro.cli import main
 from repro.obs import (
-    LiveHud,
     follow_events,
     read_events,
     render_hud,
@@ -35,24 +33,16 @@ def _events_for_finished_run():
 
 class TestRenderers:
     def test_hud_line_is_byte_stable(self):
-        line = render_hud(
-            phase="iterate", step=1200, queued=3400, merges=56,
-            hit_rate=0.761, eta=95.0,
-        )
-        assert line == (
-            "[iterate] · step 1,200 · queued 3,400 · merges 56 "
-            "· cache 76.1% · eta 1m35s"
-        )
+        line = render_hud(phase="iterate", step=1200, queued=3400, merges=56)
+        assert line == "[iterate] · step 1,200 · queued 3,400 · merges 56"
         assert line == render_hud(
-            phase="iterate", step=1200, queued=3400, merges=56,
-            hit_rate=0.761, eta=95.0,
+            phase="iterate", step=1200, queued=3400, merges=56
         )
 
     def test_hud_omits_unknown_parts(self):
         assert render_hud(phase="build") == "[build]"
-        # iterate always shows an ETA slot, "--" when unprojectable.
-        assert render_hud(phase="iterate") == "[iterate] · eta --"
-        assert render_hud(phase="iterate", eta=12) == "[iterate] · eta 12s"
+        assert render_hud(phase="iterate") == "[iterate]"
+        assert render_hud(phase="iterate", merges=3) == "[iterate] · merges 3"
 
     def test_watch_snapshot_folds_a_full_run(self):
         snap = watch_snapshot(_events_for_finished_run())
@@ -89,68 +79,6 @@ class TestRenderers:
         text = render_watch(watch_snapshot([]))
         assert text.startswith("run: ? (?)")
         assert "phase: starting" in text
-
-
-class TestLiveHud:
-    def _engine(self, queued, **stats):
-        defaults = dict(
-            values_cache_hits=0, values_cache_misses=0,
-            contacts_cache_hits=0, contacts_cache_misses=0, merges=0,
-        )
-        defaults.update(stats)
-        return SimpleNamespace(
-            queue=list(range(queued)), stats=SimpleNamespace(**defaults)
-        )
-
-    def test_step_hook_draws_in_place(self):
-        stream = io.StringIO()
-        clock = iter(float(i) for i in range(100))
-        hud = LiveHud(stream, interval=0.0, clock=lambda: next(clock))
-        hud.phase("build")
-        hud.step_hook(
-            self._engine(50, values_cache_hits=3, values_cache_misses=1,
-                         merges=2),
-            step=0,
-        )
-        hud.close()
-        output = stream.getvalue()
-        assert "\r[build]\x1b[K" in output
-        assert "step 0" in output and "queued 50" in output
-        assert "merges 2" in output and "cache 75.0%" in output
-        assert output.endswith("\n")
-
-    def test_eta_projects_from_queue_drain(self):
-        stream = io.StringIO()
-        times = iter([0.0, 1.0, 2.0, 3.0])
-        hud = LiveHud(stream, interval=0.0, clock=lambda: next(times))
-        for queued in (100, 90, 80):
-            hud.step_hook(self._engine(queued), step=queued)
-        # 10 keys/second drain, 80 queued -> 8s.
-        assert "eta 8s" in stream.getvalue()
-
-    def test_growing_queue_yields_no_eta(self):
-        stream = io.StringIO()
-        times = iter([0.0, 1.0, 2.0])
-        hud = LiveHud(stream, interval=0.0, clock=lambda: next(times))
-        for queued in (100, 150):
-            hud.step_hook(self._engine(queued), step=0)
-        assert "eta --" in stream.getvalue()
-
-    def test_throttle_skips_fast_redraws(self):
-        stream = io.StringIO()
-        times = iter([0.0, 0.01, 0.02, 5.0])
-        hud = LiveHud(stream, interval=1.0, clock=lambda: next(times))
-        for step in range(4):
-            hud.step_hook(self._engine(10), step=step)
-        output = stream.getvalue()
-        assert "step 0" in output
-        assert "step 1" not in output and "step 2" not in output
-        assert "step 3" in output
-
-    def test_close_without_draw_writes_nothing(self):
-        stream = io.StringIO()
-        LiveHud(stream).close()
-        assert stream.getvalue() == ""
 
 
 class TestFollowEvents:
@@ -215,3 +143,36 @@ class TestWatchCli:
         run_dir.mkdir()
         assert main(["watch", str(run_dir), "--once"]) == 2
         assert "no events found" in capsys.readouterr().err
+
+    def test_default_run_dir_run_reports_iterate_progress(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """`iterate_progress` is emitted at the default info level, so
+        `watch` on a run still in iterate shows a step count."""
+        import repro.core.engine as engine_module
+
+        # 124 iterate steps on this world; progress every 50 of them.
+        monkeypatch.setattr(engine_module, "_ITERATE_CHUNK", 50)
+        dataset = tmp_path / "ds"
+        assert main(["generate", "A", str(dataset), "--scale", "0.15"]) == 0
+        run_dir = tmp_path / "run"
+        assert main(["evaluate", str(dataset), "--run-dir", str(run_dir)]) == 0
+        lines = (run_dir / "events.jsonl").read_text().splitlines()
+        events = [json.loads(line) for line in lines]
+        progress = [
+            index for index, event in enumerate(events)
+            if event["event"] == "iterate_progress"
+        ]
+        assert len(progress) == 2
+        assert events[progress[0]]["level"] == "info"
+        # A watcher that caught the run mid-iterate.
+        prefix = tmp_path / "mid_run"
+        prefix.mkdir()
+        (prefix / "events.jsonl").write_text(
+            "".join(line + "\n" for line in lines[: progress[0] + 1])
+        )
+        capsys.readouterr()
+        assert main(["watch", str(prefix), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "phase: iterate" in out
+        assert "progress: step 50 · " in out

@@ -7,8 +7,6 @@ trace gains real per-pid lanes with named processes that validate
 against the Chrome trace schema.
 """
 
-import json
-
 import pytest
 
 from repro.core import EngineConfig, Reconciler
@@ -33,14 +31,12 @@ class TestWorkerTelemetry:
         recorder.add_span("score_chunk", 1.0, 0.5, pairs=3)
         recorder.count("repro_worker_chunks_total")
         recorder.observe("repro_worker_chunk_seconds", 0.5)
-        recorder.emit("warning", "something", detail="x")
         payload = recorder.drain()
         assert payload["process_name"] == "scoring worker"
         assert payload["pid"] == recorder.pid
         assert payload["spans"][0][0] == "score_chunk"
         assert payload["counters"] == {"repro_worker_chunks_total": 1}
         assert payload["observations"] == {"repro_worker_chunk_seconds": [0.5]}
-        assert payload["events"][0][1] == "something"
         # Buffers are deltas: a second drain with nothing new is None.
         assert recorder.drain() is None
 
@@ -81,7 +77,6 @@ class TestTelemetryRelay:
         recorder.add_span("score_chunk", telemetry.tracer.epoch, 0.25, pairs=7)
         recorder.count("repro_worker_chunks_total")
         recorder.observe("repro_worker_chunk_seconds", 0.25)
-        recorder.emit("warning", "worker_event", detail="d")
         relay.absorb(recorder.drain())
         telemetry.close()
 
@@ -93,12 +88,6 @@ class TestTelemetryRelay:
         foreign = [e for e in trace["traceEvents"] if e.get("pid") == 4242]
         assert any(e["ph"] == "X" and e["name"] == "score_chunk" for e in foreign)
         assert "repro_worker_chunks_total" in telemetry.metrics
-        events = [
-            json.loads(line)
-            for line in (tmp_path / "events.jsonl").read_text().splitlines()
-        ]
-        worker_events = [e for e in events if e["event"] == "worker_event"]
-        assert worker_events and worker_events[0]["pid"] == 4242
 
     def test_span_before_parent_epoch_clamps_to_zero(self, tmp_path):
         telemetry = self._telemetry(tmp_path)

@@ -14,7 +14,8 @@ from repro.core import EngineConfig, Reconciler
 from repro.datasets import generate_cora_dataset, generate_pim_dataset
 from repro.datasets.cora import CoraConfig
 from repro.domains import CoraDomainModel, PimDomainModel
-from repro.perf.parallel import ParallelScorer, domain_spec
+from repro.perf.parallel import domain_spec
+from repro.runtime.supervisor import SupervisedScorer
 
 # Stats fields that must be identical between serial and parallel runs.
 # Cache/memo/prefilter counters are deliberately excluded: workers keep
@@ -89,8 +90,6 @@ class TestFallback:
             """Not importable by workers: defined inside a function."""
 
         assert domain_spec(LocalDomain()) is None
-        with pytest.raises(ValueError):
-            ParallelScorer(LocalDomain(), 2)
 
         config = replace(EngineConfig(), workers=4)
         engine = Reconciler(tiny_pim_a.store, LocalDomain(), config)
@@ -103,23 +102,22 @@ class TestFallback:
         baseline = Reconciler(tiny_pim_a.store, PimDomainModel()).run()
         assert result.partitions == baseline.partitions
 
-    def test_single_worker_pool_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelScorer(PimDomainModel(), 1)
-
 
 class TestPoolHygiene:
     def test_failed_score_leaves_no_worker_processes(self):
-        """A failure inside ``score`` shuts the pool down before the
-        exception propagates — a failed build never leaks children."""
+        """Pairs whose scoring keeps failing are poisoned, not raised,
+        and leaving the scorer's ``with`` block reaps every worker — a
+        failed build never leaks children."""
         domain = PimDomainModel()
-        scorer = ParallelScorer(domain, 2)
         class_name = domain.class_order()[0]
         pairs = [("x", "y"), ("y", "z")]
         values = {"x": {}, "y": {}, "z": {}}
-        # An unknown channel name makes every worker raise KeyError.
-        with pytest.raises(Exception):
-            scorer.score(class_name, ("no-such-channel",), pairs, values)
+        with SupervisedScorer(domain, 2) as scorer:
+            # An unknown channel name makes every worker raise KeyError.
+            assert scorer.score(
+                class_name, ("no-such-channel",), pairs, values
+            ) == [[], []]
+            assert scorer.counters["pair_poisoned"] == 2
         deadline = time.monotonic() + 10.0
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)

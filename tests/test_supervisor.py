@@ -258,8 +258,15 @@ class TestMidBuildPoolFailure:
         from concurrent.futures.process import BrokenProcessPool
 
         class ExplodingScorer:
+            """A supervised scorer whose pool breaks on the first chunk."""
+
             def __init__(self):
                 self.shutdowns = 0
+                self.counters = dict.fromkeys(
+                    ("task_retry", "task_timeout", "pool_rebuild", "pair_poisoned"), 0
+                )
+                self.poisoned = []
+                self.current_workers = 2
 
             def score(self, *args, **kwargs):
                 raise BrokenProcessPool("worker died mid-build")
