@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -74,6 +75,9 @@ __all__ = ["main", "build_parser"]
 
 #: where a --run-dir run with --workers > 1 quarantines poisoned pairs.
 POISON_LOG_FILENAME = "poisoned_pairs.jsonl"
+#: where the REPRO_CHAOS seam of a --run-dir run claims its once-only
+#: fault markers.
+CHAOS_MARKER_DIRNAME = "chaos_markers"
 
 
 def _domain_for(dataset_name: str):
@@ -379,7 +383,7 @@ def _apply_run_dir(options) -> Path | None:
     log and event stream into it (truncating stale ones on a fresh,
     non-resume run so both artifacts match this run exactly; a resumed
     run append-continues them). A fresh run also drops a stale crash
-    bundle and poisoned-pair log. Idempotent."""
+    bundle, poisoned-pair log and chaos markers. Idempotent."""
     run_dir = getattr(options, "run_dir", None) if options is not None else None
     if not run_dir:
         return None
@@ -389,11 +393,14 @@ def _apply_run_dir(options) -> Path | None:
     if not resuming:
         # A stale crash bundle or poison log describes some *previous*
         # run; a fresh run must start with neither so their absence
-        # means "clean".
+        # means "clean". Chaos markers claimed by a previous run would
+        # stop this run's injected fault from firing; a resumed run
+        # keeps them, so a fault that fired once does not fire again.
         from .obs.flight import CRASH_BUNDLE_FILENAME
 
         (run_dir / CRASH_BUNDLE_FILENAME).unlink(missing_ok=True)
         (run_dir / POISON_LOG_FILENAME).unlink(missing_ok=True)
+        shutil.rmtree(run_dir / CHAOS_MARKER_DIRNAME, ignore_errors=True)
     if getattr(options, "provenance", None) is None:
         default = run_dir / "provenance.jsonl"
         if not resuming:
@@ -542,7 +549,7 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
             # The injector claims its once-only marker files with
             # O_CREAT, which fails (and so never fires) in a missing
             # directory.
-            marker = run_dir / "chaos_markers"
+            marker = run_dir / CHAOS_MARKER_DIRNAME
             marker.mkdir(exist_ok=True)
             marker = str(marker)
         if "raise_pairs" in spec:

@@ -37,7 +37,7 @@ from .blocking import BlockingIndex
 from .graph import DependencyGraph
 from .model import DomainModel, EngineConfig, WeakDependency
 from .nodes import EdgeType, NodeStatus, PairNode, pair_key
-from .partition import ConstraintViolation, UnionFind
+from .partition import ClusterIndex, ConstraintViolation, UnionFind
 from .queue import ActiveQueue
 from .references import Reference, ReferenceStore
 from .result import ReconciliationResult
@@ -133,7 +133,10 @@ class Reconciler:
         # sets mention it; the union-find notifies us of every merge.
         self._contacts_cache: dict[str, frozenset[str]] = {}
         self._contacts_rdeps: dict[str, set[str]] = {}
-        self.uf.add_union_listener(self._invalidate_contacts)
+        # The result's per-class clusters, built by the first _result()
+        # and kept current by _on_union from then on.
+        self._clusters: ClusterIndex | None = None
+        self.uf.add_union_listener(self._on_union)
         # Value-pair score memo shared by every candidate pair of a
         # build (see perf.scoring.memoised_score for the semantics).
         self._pair_score_memo: dict = {}
@@ -317,6 +320,13 @@ class Reconciler:
         for root in frozen:
             self._contacts_rdeps.setdefault(root, set()).add(element)
         return frozen
+
+    def _on_union(self, survivor: str, absorbed: str) -> None:
+        """The engine's one union-find listener: keeps the contact-root
+        cache and, once built, the cluster index current."""
+        self._invalidate_contacts(survivor, absorbed)
+        if self._clusters is not None:
+            self._clusters.union(survivor, absorbed)
 
     def _invalidate_contacts(self, survivor: str, absorbed: str) -> None:
         """Union-find merge hook: evict exactly the contact-root cache
@@ -1379,22 +1389,19 @@ class Reconciler:
         return self._result()
 
     def _result(self) -> ReconciliationResult:
-        clusters: dict[str, dict[str, list[str]]] = {
-            class_name: {} for class_name in self.store.schema.class_names
-        }
-        for reference in self.store:
-            root = self.uf.find(reference.ref_id)
-            clusters[reference.class_name].setdefault(root, []).append(
-                reference.ref_id
+        """The current partition. The first call groups the store by
+        cluster root; later ones read the cluster index the union-find
+        listener keeps current, so a result costs O(classes + clusters)
+        instead of O(store). The index is regrouped only if the store
+        grew behind it (a reference added other than through
+        :meth:`IncrementalReconciler.add`)."""
+        clusters = self._clusters
+        if clusters is None or clusters.size != len(self.store):
+            clusters = self._clusters = ClusterIndex(
+                self.store.schema.class_names, self.uf, self.store
             )
-        partitions = {
-            class_name: sorted(
-                (sorted(group) for group in groups.values()), key=lambda g: g[0]
-            )
-            for class_name, groups in clusters.items()
-        }
         return ReconciliationResult(
-            partitions=partitions,
+            partitions=clusters.partitions(),
             uf=self.uf,
             stats=self.stats,
             completed=self.stop_reason == "converged",

@@ -61,25 +61,34 @@ class IncrementalReconciler:
     def add(self, new_references: Sequence[Reference]) -> ReconciliationResult:
         """Fold *new_references* into the reconciled dataset.
 
-        Returns the updated full partition. A batch that fails the
-        store's checks (see :meth:`ReferenceStore.extend`) raises and
-        leaves the reconciler as it was, so later batches still fold in.
+        Returns the updated full partition. Its cluster lists are
+        shared with earlier and later results (see
+        :class:`~repro.core.result.ReconciliationResult`). A batch that
+        fails the store's checks (see :meth:`ReferenceStore.extend`)
+        raises and leaves the reconciler as it was, so later batches
+        still fold in.
 
         Cost per batch: checking, blocking, scoring and wiring the batch
         are proportional to the batch and its bucket-mates; iterate
-        touches only the graph region the new nodes reach. Assembling
-        the returned partition is O(store) on top.
+        touches only the graph region the new nodes reach. The returned
+        partition comes from the engine's cluster index: each new
+        reference enters it as a singleton here, each merge replaces
+        two clusters by one, and the result copies one list of clusters
+        per class. Nothing in ``add()`` walks the whole store.
         """
         if not self._initialized:
             raise RuntimeError("call initial() before add()")
         engine = self._reconciler
         engine.store.extend(new_references)
         counts = engine.convergence_counts
+        clusters = engine._clusters
         for reference in new_references:
             root = engine.uf.find(reference.ref_id)
             engine._members.setdefault(reference.ref_id, [reference.ref_id])
             if counts is not None:
                 counts.add(reference, root)
+            if clusters is not None:
+                clusters.add(reference, root)
         if engine._weak_owners is not None:
             engine._index_weak_owners(new_references)
 

@@ -6,13 +6,20 @@ unioning pairs as reconciliation decisions fire and closed transitively
 two clusters that must never end up in one partition. Enemy sets are
 inherited on union, so a union that would transitively violate a
 constraint is refused.
+
+:class:`ClusterIndex` keeps the result's per-class clusters current
+union by union, so a reconciler that keeps absorbing updates does not
+regroup the whole store for every result it returns.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Hashable, Iterable
 
-__all__ = ["UnionFind", "ConstraintViolation"]
+from .references import Reference
+
+__all__ = ["UnionFind", "ConstraintViolation", "ClusterIndex"]
 
 
 class ConstraintViolation(RuntimeError):
@@ -177,3 +184,97 @@ class UnionFind:
         uf._enemies = {item: set(enemies) for item, enemies in state["enemies"]}
         uf.union_count = state["union_count"]
         return uf
+
+
+class ClusterIndex:
+    """Per-class clusters of reference ids, kept current merge by merge.
+
+    :meth:`partitions` gives, per class, the clusters sorted by their
+    first id, each cluster a sorted list of ids: what grouping every
+    reference by its union-find root and sorting would give. Building
+    the index does that grouping once; afterwards :meth:`union` (fed
+    from the union-find's merge listener) and :meth:`add` (a reference
+    joining the store) keep it current, so reading it costs one list
+    copy per class.
+
+    A cluster list is never changed once created: a merge stores a new
+    sorted list under the surviving root. Callers may therefore share
+    the inner lists of successive :meth:`partitions` results, and must
+    treat them as read-only.
+    """
+
+    def __init__(
+        self,
+        class_names: Iterable[str],
+        uf: UnionFind,
+        references: Iterable[Reference],
+    ) -> None:
+        #: cluster root -> class -> sorted member ids
+        self._by_root: dict[Hashable, dict[str, list[str]]] = {}
+        #: class -> clusters ordered by first id, and those first ids
+        self._ordered: dict[str, list[list[str]]] = {}
+        self._firsts: dict[str, list[str]] = {}
+        #: references indexed so far
+        self.size = 0
+        for reference in references:
+            parts = self._by_root.setdefault(uf.find(reference.ref_id), {})
+            parts.setdefault(reference.class_name, []).append(reference.ref_id)
+            self.size += 1
+        grouped: dict[str, list[list[str]]] = {name: [] for name in class_names}
+        for parts in self._by_root.values():
+            for class_name, members in parts.items():
+                members.sort()
+                grouped[class_name].append(members)
+        for class_name, clusters in grouped.items():
+            clusters.sort(key=lambda members: members[0])
+            self._ordered[class_name] = clusters
+            self._firsts[class_name] = [members[0] for members in clusters]
+
+    def partitions(self) -> dict[str, list[list[str]]]:
+        """Class -> clusters; the outer lists are fresh copies."""
+        return {name: list(clusters) for name, clusters in self._ordered.items()}
+
+    def add(self, reference: Reference, root: Hashable) -> None:
+        """Index a reference that joined the store, in cluster *root*."""
+        ref_id, class_name = reference.ref_id, reference.class_name
+        firsts = self._firsts[class_name]
+        index = bisect_left(firsts, ref_id)
+        firsts.insert(index, ref_id)
+        single = [ref_id]
+        self._ordered[class_name].insert(index, single)
+        self.size += 1
+        parts = self._by_root.setdefault(root, {})
+        present = parts.get(class_name)
+        parts[class_name] = (
+            single if present is None else self._join(class_name, present, single)
+        )
+
+    def union(self, survivor: Hashable, absorbed: Hashable) -> None:
+        """Fold the absorbed root's clusters into the survivor's."""
+        absorbed_parts = self._by_root.pop(absorbed, None)
+        if absorbed_parts is None:
+            return
+        parts = self._by_root.get(survivor)
+        if parts is None:
+            self._by_root[survivor] = absorbed_parts
+            return
+        for class_name, members in absorbed_parts.items():
+            present = parts.get(class_name)
+            parts[class_name] = (
+                members if present is None else self._join(class_name, present, members)
+            )
+
+    def _join(self, class_name: str, left: list[str], right: list[str]) -> list[str]:
+        """Replace two indexed clusters of a class by a new sorted list
+        of their members; the one with the smaller first id keeps its
+        place in the order."""
+        if right[0] < left[0]:
+            left, right = right, left
+        firsts = self._firsts[class_name]
+        ordered = self._ordered[class_name]
+        merged = sorted(left + right)
+        ordered[bisect_left(firsts, left[0])] = merged
+        index = bisect_left(firsts, right[0])
+        del firsts[index]
+        del ordered[index]
+        return merged

@@ -21,6 +21,11 @@ class ReconciliationResult:
     ``partitions`` maps class name to the list of clusters, each a
     sorted list of reference ids; the partitioning is the transitive
     closure of all merge decisions (honouring non-merge constraints).
+    The per-class outer lists belong to this result, but the cluster
+    lists are read-only snapshots: a reconciler that keeps running
+    (``IncrementalReconciler.add``) shares every unchanged cluster
+    list between its successive results, so mutating one would change
+    the others.
 
     ``completed`` distinguishes a converged fixpoint from a run that
     was cut short; when it is ``False``, ``stop_reason`` says why

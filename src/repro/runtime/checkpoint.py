@@ -138,9 +138,11 @@ def restore_engine(engine: Reconciler, state: dict) -> None:
     engine._contacts_rdeps = {}
     engine._pair_score_memo = {}
     # The restored union-find is a fresh object: re-attach the engine's
-    # cache-invalidation listener (listeners are runtime state and are
-    # deliberately not serialised).
-    engine.uf.add_union_listener(engine._invalidate_contacts)
+    # listener (listeners are runtime state and are deliberately not
+    # serialised), and drop the cluster index, which followed the old
+    # union-find; the next result regroups the store.
+    engine.uf.add_union_listener(engine._on_union)
+    engine._clusters = None
     if engine._convergence is not None:
         # Convergence counts follow the union-find: recount them over
         # the restored one.

@@ -1,5 +1,7 @@
 """Tests for incremental reconciliation (§7 future work)."""
 
+import copy
+
 import pytest
 
 from repro.core import (
@@ -14,6 +16,13 @@ from repro.core import engine as engine_module
 from repro.core.nodes import EdgeType
 from repro.datasets import generate_pim_dataset
 from repro.domains import PimDomainModel
+from repro.runtime import (
+    GuardTripped,
+    RunGuard,
+    load_checkpoint,
+    restore_engine,
+    save_checkpoint,
+)
 
 from .conftest import BAD_BATCH_TAILS, example1_references
 
@@ -313,3 +322,157 @@ class TestWeakWiring:
         assert later > 0
         assert [event.kind for event in result.degradations] == ["weak_fanout"] * 2
         assert result.degradations[1].detail.startswith(f"skipped {later} ")
+
+
+def store_walk_partitions(engine):
+    """Oracle: the partition assembled from scratch, grouping every
+    reference of the store under its union-find root."""
+    clusters = {class_name: {} for class_name in engine.store.schema.class_names}
+    for reference in engine.store:
+        root = engine.uf.find(reference.ref_id)
+        clusters[reference.class_name].setdefault(root, []).append(reference.ref_id)
+    return {
+        class_name: sorted((sorted(group) for group in groups.values()), key=lambda g: g[0])
+        for class_name, groups in clusters.items()
+    }
+
+
+def checked_incremental(references, config=None):
+    """An initialised reconciler whose initial() result matched the oracle."""
+    domain = PimDomainModel()
+    incremental = IncrementalReconciler(
+        ReferenceStore(domain.schema, references), domain, config or EngineConfig()
+    )
+    result = incremental.initial()
+    assert result.partitions == store_walk_partitions(incremental.reconciler)
+    return incremental
+
+
+def add_checked(incremental, batch):
+    result = incremental.add(batch)
+    assert result.partitions == store_walk_partitions(incremental.reconciler)
+    return result
+
+
+CONFIGS = {
+    "default": EngineConfig(),
+    "no_enrich": EngineConfig(enrich=False),
+    "no_constraints": EngineConfig(constraints=False),
+}
+
+
+class TestResultAssembly:
+    """Every result read from the cluster index equals the store walk."""
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("variant", ["A", "B", "C", "D"])
+    def test_every_result_matches_the_store_walk(self, variant, config):
+        dataset = generate_pim_dataset(variant, scale=0.15)
+        base, batches = split_into_batches(dataset, held_out=60, batch_size=10)
+        incremental = checked_incremental(base, CONFIGS[config])
+        for batch in batches:
+            add_checked(incremental, batch)
+
+    def test_restore_from_a_mid_fold_checkpoint(self, tmp_path):
+        dataset = generate_pim_dataset("B", scale=0.15)
+        base, batches = split_into_batches(dataset, held_out=60, batch_size=10)
+        incremental = checked_incremental(base)
+        engine = incremental.reconciler
+        for batch in batches[:2]:
+            add_checked(incremental, batch)
+        # Checkpoint the third batch's fold before its first merge...
+        path = tmp_path / "mid_fold.json"
+        run = engine.run
+
+        def run_and_checkpoint():
+            def hook(engine, step):
+                if step == 0:
+                    save_checkpoint(engine, path)
+
+            return run(step_hook=hook)
+
+        engine.run = run_and_checkpoint
+        folded = add_checked(incremental, batches[2])
+        del engine.run
+        # ...and rewind the same engine to it: its union-find forgets
+        # merges the cluster index has already seen.
+        restore_engine(engine, load_checkpoint(path))
+        rewound = engine.partial_result().partitions
+        assert rewound == store_walk_partitions(engine)
+        assert rewound != folded.partitions
+        assert engine.run().partitions == store_walk_partitions(engine)
+        assert engine.partial_result().partitions == folded.partitions
+        for batch in batches[3:]:
+            add_checked(incremental, batch)
+
+    def test_partial_result_after_a_guard_trip(self):
+        dataset = generate_pim_dataset("B", scale=0.15)
+        base, batches = split_into_batches(dataset, held_out=60, batch_size=10)
+        incremental = checked_incremental(base)
+        engine = incremental.reconciler
+        add_checked(incremental, batches[0])
+        budget = engine.stats.recomputations + 3
+        run = engine.run
+        engine.run = lambda: run(
+            guard=RunGuard(max_recomputations=budget), raise_on_trip=True
+        )
+        with pytest.raises(GuardTripped):
+            incremental.add(batches[1])
+        del engine.run
+        partial = engine.partial_result()
+        assert not partial.completed
+        assert partial.partitions == store_walk_partitions(engine)
+        assert engine.run().partitions == store_walk_partitions(engine)
+        for batch in batches[2:]:
+            add_checked(incremental, batch)
+
+    def test_a_result_is_not_changed_by_later_batches(self):
+        dataset = generate_pim_dataset("B", scale=0.15)
+        base, batches = split_into_batches(dataset, held_out=60, batch_size=10)
+        incremental = fresh_incremental(base)
+        results = [incremental.reconciler.partial_result()]
+        snapshots = [copy.deepcopy(results[0].partitions)]
+        for batch in batches:
+            results.append(incremental.add(batch))
+            snapshots.append(copy.deepcopy(results[-1].partitions))
+        for result, snapshot in zip(results, snapshots):
+            assert result.partitions == snapshot
+        # Later batches did merge into clusters the first result holds.
+        final = {tuple(c) for clusters in results[-1].partitions.values() for c in clusters}
+        first = [tuple(c) for clusters in results[0].partitions.values() for c in clusters]
+        assert any(cluster not in final for cluster in first)
+
+    def test_listener_count_stays_constant(self, tmp_path):
+        dataset = generate_pim_dataset("B", scale=0.15)
+        base, batches = split_into_batches(dataset, held_out=50, batch_size=1)
+        incremental = fresh_incremental(base)
+        engine = incremental.reconciler
+        listeners = len(engine.uf._listeners)
+        engine.partial_result()
+        path = save_checkpoint(engine, tmp_path / "checkpoint.json")
+        restore_engine(engine, load_checkpoint(path))
+        assert len(engine.uf._listeners) == listeners
+        engine.run()
+        engine.partial_result()
+        assert len(engine.uf._listeners) == listeners
+        assert len(batches) == 50
+        for batch in batches:
+            incremental.add(batch)
+            assert len(engine.uf._listeners) == listeners
+
+    def test_add_never_walks_the_store(self, monkeypatch):
+        dataset = generate_pim_dataset("B", scale=0.5)
+        base, batches = split_into_batches(dataset, held_out=100, batch_size=5)
+        incremental = fresh_incremental(base)
+        walks = []
+        store_iter = ReferenceStore.__iter__
+
+        def spy(store):
+            walks.append(store)
+            return store_iter(store)
+
+        monkeypatch.setattr(ReferenceStore, "__iter__", spy)
+        assert len(batches) == 20
+        for batch in batches:
+            incremental.add(batch)
+        assert walks == [], f"add() walked the store {len(walks)} times"

@@ -1,11 +1,15 @@
-"""Union-find tests, including a networkx connected-components oracle."""
+"""Union-find tests, including a networkx connected-components oracle,
+and the cluster index checked against regrouping from scratch."""
+
+import copy
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition import ConstraintViolation, UnionFind
+from repro.core.partition import ClusterIndex, ConstraintViolation, UnionFind
+from repro.core.references import Reference
 
 
 class TestBasics:
@@ -116,3 +120,87 @@ class TestAgainstNetworkxOracle:
         for left, right in ops:
             uf.union(left, right)
         assert not uf.connected(items[0], items[1])
+
+
+def regrouped(class_names, uf, references):
+    """Per-class clusters by grouping every reference under its root."""
+    clusters = {name: {} for name in class_names}
+    for reference in references:
+        clusters[reference.class_name].setdefault(uf.find(reference.ref_id), []).append(
+            reference.ref_id
+        )
+    return {
+        name: sorted((sorted(group) for group in groups.values()), key=lambda g: g[0])
+        for name, groups in clusters.items()
+    }
+
+
+@st.composite
+def index_scripts(draw):
+    """References of two classes (some indexed up front, the rest added
+    later) and a script of unions and additions. Unions may also join
+    ids not yet indexed, so an added reference can arrive in a cluster
+    that already has members."""
+    n = draw(st.integers(2, 14))
+    references = [
+        Reference(f"r{i:02d}", draw(st.sampled_from(["A", "B"])), {}) for i in range(n)
+    ]
+    initial = draw(st.integers(1, n))
+    ids = st.sampled_from([reference.ref_id for reference in references])
+    script = []
+    for reference in references[initial:]:
+        script.append(("add", reference))
+        for _ in range(draw(st.integers(0, 3))):
+            script.append(("union", draw(ids), draw(ids)))
+    return references, initial, script
+
+
+class TestClusterIndex:
+    CLASSES = ("A", "B", "C")
+
+    @given(index_scripts(), st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13))))
+    @settings(max_examples=80)
+    def test_matches_regrouping_and_never_changes_a_handed_out_result(
+        self, script_data, early_unions
+    ):
+        references, initial, script = script_data
+        present = references[:initial]
+        uf = UnionFind()
+        for left, right in early_unions:
+            if left < len(references) and right < len(references):
+                uf.union(references[left].ref_id, references[right].ref_id)
+        index = ClusterIndex(self.CLASSES, uf, present)
+        uf.add_union_listener(index.union)
+        assert index.partitions() == regrouped(self.CLASSES, uf, present)
+        handed_out = []
+        for step in script:
+            if step[0] == "add":
+                present.append(step[1])
+                index.add(step[1], uf.find(step[1].ref_id))
+            else:
+                uf.union(step[1], step[2])
+            result = index.partitions()
+            assert index.size == len(present)
+            assert result == regrouped(self.CLASSES, uf, present)
+            handed_out.append((result, copy.deepcopy(result)))
+        for result, snapshot in handed_out:
+            assert result == snapshot
+
+    def test_a_cross_class_root_keeps_one_cluster_per_class(self):
+        references = [
+            Reference("a1", "A", {}),
+            Reference("b1", "B", {}),
+            Reference("a2", "A", {}),
+            Reference("b2", "B", {}),
+        ]
+        uf = UnionFind()
+        index = ClusterIndex(self.CLASSES, uf, references)
+        uf.add_union_listener(index.union)
+        uf.union("a1", "b1")
+        uf.union("a2", "b2")
+        uf.union("b2", "a1")
+        assert index.partitions() == {
+            "A": [["a1", "a2"]],
+            "B": [["b1", "b2"]],
+            "C": [],
+        }

@@ -309,6 +309,42 @@ class TestDoctorExitCodes:
         assert f"lane deaths ({len(bundle['lane_deaths'])} recorded):" in out
 
 
+    def test_second_chaos_run_into_the_same_run_dir_fires_again(
+        self, tmp_path, monkeypatch
+    ):
+        """A fresh run clears the markers an earlier chaos run claimed,
+        so its own injected fault fires too."""
+        dataset_dir = tmp_path / "dataset"
+        assert main(["generate", "B", str(dataset_dir), "--scale", "0.1"]) == 0
+        run_dir = tmp_path / "run"
+        monkeypatch.setenv("REPRO_CHAOS", '{"kill_at_chunk": 1}')
+        argv = ["evaluate", str(dataset_dir), "--run-dir", str(run_dir), "--workers", "2"]
+        for attempt in ("first", "second"):
+            assert main(argv) == 0
+            bundle = load_crash_bundle(run_dir)
+            assert bundle is not None, f"{attempt} run injected no fault"
+            kinds = {entry["kind"] for entry in bundle["stats"]["degradations"]}
+            assert "pool_rebuild" in kinds, attempt
+            assert bundle["lane_deaths"], attempt
+
+
+    def test_resumed_run_keeps_the_chaos_markers(self, tmp_path):
+        """Only a fresh run clears them: on --resume they are what makes
+        "crash once, then recover" fire once."""
+        from argparse import Namespace
+
+        from repro.cli import CHAOS_MARKER_DIRNAME, _apply_run_dir
+
+        run_dir = tmp_path / "run"
+        claimed = run_dir / CHAOS_MARKER_DIRNAME / "kill_at_chunk"
+        claimed.parent.mkdir(parents=True)
+        claimed.touch()
+        _apply_run_dir(Namespace(run_dir=str(run_dir), resume="checkpoint.json"))
+        assert claimed.exists()
+        _apply_run_dir(Namespace(run_dir=str(run_dir), resume=None))
+        assert not claimed.parent.exists()
+
+
 def _provenance_tail(run_dir, count):
     """The last *count* records of the run's ``provenance.jsonl``."""
     lines = (run_dir / "provenance.jsonl").read_text().splitlines()
